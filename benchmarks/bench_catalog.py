@@ -13,7 +13,7 @@ SQLite database (the ``PersistentCatalog`` store):
   every stored community.  The sweep reads envelope columns only; the
   recorded ``vector_bytes_loaded`` stays zero against megabytes of
   stored vectors, which is what makes sweeps over a bigger-than-RAM
-  catalog feasible: the resident working set is the index rows, not
+  catalog feasible: the resident working set is the envelope rows, not
   the corpus.
 * **end to end** — ``top_k_pairs`` straight off the catalog versus the
   same ranking over the pre-loaded list.  The rankings must match
@@ -135,7 +135,7 @@ def bench_catalog(tmp_path_factory, report_writer):
     # -- screening working set: all-pairs sweep, zero vector bytes ----
     with PersistentCatalog(path) as reader:
         pairs, t_sweep = timed(
-            "all-pairs window sweep", lambda: reader.candidate_pairs(EPSILON)
+            "all-pairs envelope sweep", lambda: reader.candidate_pairs(EPSILON)
         )
         sweep_stats = reader.io_stats()
     assert sweep_stats["repro_catalog_vector_loads_total"] == 0

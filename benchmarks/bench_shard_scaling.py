@@ -1,22 +1,24 @@
 """Shard-count scaling of the distributed all-pairs top-k.
 
-The workload is built to stress the stage the sharding actually
-distributes: the quadratic candidate scan.  Every community's counter
-sums are (near-)identical — group ``g`` sits at ``[g*step,
-(G-1-g)*step]`` per user, a constant row sum — so the catalog's
-sum-window index prunes nothing and stage 1 of ``candidate_pairs``
-walks all ``C(C, 2)`` index rows, decoding envelopes in Python.  The
-per-dimension check then kills every inter-group pair (``step`` is
-far above epsilon plus noise), leaving only the cheap intra-group
-joins.  Partitioning ``N`` ways cuts the scan to ``C^2/2N`` total rows
-— a genuine work reduction, so the speedup survives even on one core
-where thread fan-out alone would buy nothing.
+Every community's counter sums are (near-)identical — group ``g`` sits
+at ``[g*step, (G-1-g)*step]`` per user, a constant row sum — so a
+sum-window index would prune nothing; the per-dimension envelope check
+kills every inter-group pair (``step`` is far above epsilon plus
+noise), leaving only the cheap intra-group joins.  The candidate scan
+is the output-sensitive envelope sweep, so it costs the same on one
+host as on N shards: what sharding divides is the per-shard work.
 
 Measured per shard count (1/2/4/8 by default): the full distributed
 ``top_k`` through an in-process fleet, each run asserted byte-identical
-to the single-host ranking on the union catalog.  A skewed variant
-(one hot component dwarfing the per-shard budget) compares the
-skew-aware split against plain LPT at 4 shards.
+to the single-host ranking on the union catalog.  The gate is a work
+bound, not a speedup: every shard's local candidate count and owned
+join count must stay within ``total / N`` plus the replication
+overhead (pairs scanned on more than one shard) plus the largest
+unsplittable component.  Shard servers run as threads of one process,
+so wall-clock speedups reflect host CPUs and the GIL, not the plan;
+they are reported, never asserted.  A skewed variant (one hot
+component dwarfing the per-shard budget) compares the skew-aware split
+against plain LPT at 4 shards.
 
 The ``shard`` section merges into ``BENCH_engine.json`` when not in
 smoke mode; ``scripts/bench_smoke.sh`` runs the seconds-long variant.
@@ -27,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +103,41 @@ def ranking_key(scores) -> list[tuple[str, str, str]]:
     return [(s.name_b, s.name_a, repr(s.similarity)) for s in scores]
 
 
+def largest_component(candidates) -> int:
+    """Pair count of the biggest connected component of the candidates."""
+    parent: dict[str, str] = {}
+
+    def find(key: str) -> str:
+        parent.setdefault(key, key)
+        while parent[key] != key:
+            parent[key] = parent[parent[key]]
+            key = parent[key]
+        return key
+
+    for first, second in candidates:
+        parent[find(first)] = find(second)
+    sizes = Counter(find(first) for first, _ in candidates)
+    return max(sizes.values(), default=0)
+
+
+def per_shard_work(plan, shard_dir: Path, candidates) -> dict[str, list[int]]:
+    """Each shard's local candidate count and the joins it owns."""
+    scans = []
+    for spec in plan.shards:
+        with PersistentCatalog(shard_dir / spec.db) as shard_catalog:
+            scans.append(len(shard_catalog.candidate_pairs(EPSILON)))
+    owners: Counter = Counter()
+    for pair in candidates:
+        owner = plan.pair_owners.get(pair)
+        if owner is None:
+            owner = min(set(plan.shards_of(pair[0])) & set(plan.shards_of(pair[1])))
+        owners[owner] += 1
+    return {
+        "candidates": scans,
+        "joins": [owners[shard] for shard in range(plan.n_shards)],
+    }
+
+
 @pytest.mark.bench
 def bench_shard_scaling(tmp_path_factory, report_writer):
     fleet = sum_balanced_fleet()
@@ -119,6 +157,7 @@ def bench_shard_scaling(tmp_path_factory, report_writer):
             lambda: catalog.candidate_pairs(EPSILON),
         )
 
+    granularity = largest_component(candidates)
     curve = {}
     baseline_seconds = None
     for n_shards in SHARD_COUNTS:
@@ -144,11 +183,22 @@ def bench_shard_scaling(tmp_path_factory, report_writer):
         assert ranking_key(result.scores) == ranking_key(reference)
         if baseline_seconds is None:
             baseline_seconds = t_topk
+        work = per_shard_work(plan, shard_dir, candidates)
+        replication = sum(work["candidates"]) - len(candidates)
+        bound = len(candidates) / n_shards + replication + granularity
+        for kind, counts in work.items():
+            assert max(counts) <= bound, (
+                f"{n_shards} shards: per-shard {kind} {counts} exceed "
+                f"total/N + replication + granularity = {bound:.1f}"
+            )
         curve[n_shards] = {
             "topk_seconds": round(t_topk, 4),
             "partition_seconds": round(t_partition, 4),
             "speedup_vs_1_shard": round(baseline_seconds / t_topk, 2),
             "imbalance": round(plan.stats["imbalance"], 3),
+            "per_shard_candidates": work["candidates"],
+            "per_shard_joins": work["joins"],
+            "work_bound": round(bound, 1),
         }
 
     # -- skew: replicated split vs plain LPT at 4 shards ---------------
@@ -199,11 +249,15 @@ def bench_shard_scaling(tmp_path_factory, report_writer):
             "k": TOP_K,
             "sum_balanced": True,
             "smoke": SMOKE,
+            "cpu_count": os.cpu_count(),
+            "gate": "per-shard candidates and joins <= total/N + "
+            "replication + largest component",
         },
         "single_host": {
             "topk_seconds": round(t_single, 4),
             "candidate_scan_seconds": round(t_scan, 4),
             "candidate_pairs": len(candidates),
+            "largest_component_pairs": granularity,
         },
         "scaling": {str(n): entry for n, entry in curve.items()},
         "skew": skew_section,
@@ -212,11 +266,6 @@ def bench_shard_scaling(tmp_path_factory, report_writer):
     report_writer("shard_scaling", report)
 
     if not SMOKE:
-        if 4 in curve:
-            speedup = curve[4]["speedup_vs_1_shard"]
-            assert speedup >= 2.0, (
-                f"4 shards must be >= 2x over 1 shard, got {speedup:.2f}x"
-            )
         if _JSON_PATH.exists():
             merged = json.loads(_JSON_PATH.read_text())
             merged["shard"] = section

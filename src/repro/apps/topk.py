@@ -8,7 +8,7 @@ only the survivors.  :func:`top_k_pairs` packages that pipeline over an
 arbitrary community collection.
 
 Both phases execute on the :class:`~repro.engine.BatchEngine`: the
-all-pairs screen and the refinement pool become batches of
+survivors of the envelope sweep and the refinement pool become batches of
 :class:`~repro.engine.PairJob` entries, which gives this operator the
 envelope pre-screen, the join-result cache and multi-process execution
 (``n_jobs``) for free.  ``top_k_pairs_reference`` preserves the
@@ -19,13 +19,17 @@ baseline the engine benchmarks measure against.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
+from typing import AbstractSet as Set
+from typing import Container, Iterable, Iterator, Sequence
 
 from ..algorithms import ALGORITHMS, get_algorithm
 from ..catalog import CatalogRecord, PersistentCatalog
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, DimensionMismatchError
 from ..core.types import Community, CSJResult, EventCounts
 from ..engine import (
     BatchEngine,
@@ -36,10 +40,11 @@ from ..engine import (
     canonical_options,
 )
 from ..engine.batch import SCREEN_ENGINE
+from ..engine.envelope import community_envelope, envelope_candidates, stack_envelopes
 from ..obs import JoinTelemetry, MetricsRegistry
 from ..sketch import SketchPrefilter
 
-__all__ = ["PairScore", "top_k_pairs", "top_k_pairs_reference"]
+__all__ = ["PairScore", "top_k_pairs", "top_k_pairs_reference", "zero_tail"]
 
 
 @dataclass(frozen=True)
@@ -61,10 +66,6 @@ def _ratio_ok(n_first: int, n_second: int) -> bool:
     return small * 2 >= large
 
 
-def _joinable(first: Community, second: Community) -> bool:
-    return _ratio_ok(len(first), len(second))
-
-
 def _validate(communities: list[Community], k: int, screen_margin: float) -> None:
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
@@ -79,6 +80,62 @@ def _validate(communities: list[Community], k: int, screen_margin: float) -> Non
 
 def _pool_size(n_screened: int, k: int, screen_margin: float) -> int:
     return min(n_screened, max(k, int(round(k / screen_margin))))
+
+
+def _joinable_count(sizes: Sequence[int]) -> int:
+    """Ratio-eligible pair count in O(C log C) — never O(C^2) space."""
+    ordered = sorted(sizes)
+    return sum(
+        bisect_right(ordered, 2 * size) - index - 1
+        for index, size in enumerate(ordered)
+    )
+
+
+def _rank_key(entry: tuple[float, str, str]) -> tuple[float, str, str]:
+    return (-entry[0], entry[1], entry[2])
+
+
+def zero_tail(
+    names: Sequence[str],
+    sizes: Sequence[int],
+    excluded: Container[tuple[str, str]],
+) -> Iterator[tuple[float, str, str]]:
+    """Lazily yield ``(0.0, names[i], names[j])`` for the zero-scored pairs.
+
+    Covers every ratio-eligible pair ``i < j`` not in ``excluded`` (the
+    pairs that carry a screen score of their own), in ``_rank_key``
+    order, so a :func:`heapq.merge` against the ranked survivors
+    reproduces the full sort of all C^2 pairs while only the consumed
+    prefix is ever enumerated.
+    """
+    order = sorted(range(len(names)), key=names.__getitem__)
+    for first in order:
+        for second in order:
+            if second <= first:
+                continue
+            pair = (names[first], names[second])
+            if pair not in excluded and _ratio_ok(sizes[first], sizes[second]):
+                yield (0.0, pair[0], pair[1])
+
+
+def _refinement_pool(
+    scored: Iterable[tuple[float, str, str]],
+    names: Sequence[str],
+    sizes: Sequence[int],
+    k: int,
+    screen_margin: float,
+    lost: Set[tuple[str, str]] = frozenset(),
+) -> list[tuple[float, str, str]]:
+    """The top screen entries: scored survivors merged with the zero tail.
+
+    ``lost`` pairs (a degraded shard fleet's unevaluable pairs) are
+    neither scored nor zero-ranked; they leave the ranking universe.
+    """
+    ranked = sorted(scored, key=_rank_key)
+    live = {(first, second) for _, first, second in ranked}
+    merged = heapq.merge(ranked, zero_tail(names, sizes, live | lost), key=_rank_key)
+    size = _pool_size(_joinable_count(sizes) - len(lost), k, screen_margin)
+    return list(itertools.islice(merged, size))
 
 
 def top_k_pairs(
@@ -105,7 +162,9 @@ def top_k_pairs(
     Every unordered pair satisfying the CSJ size-ratio rule is screened
     with the approximate method; the best ``ceil(k / screen_margin)``
     survivors are refined exactly, and the top ``k`` refined pairs are
-    returned sorted by descending similarity (name tie-break).
+    returned sorted by descending similarity (name tie-break).  Only the
+    pairs the envelope sweep keeps are joined; the pairs it rules out
+    rank at similarity 0 through a lazy tail, never materialised.
 
     ``screen_margin`` < 1 widens the refinement pool to protect against
     approximate underestimation promoting the wrong pairs.
@@ -129,8 +188,8 @@ def top_k_pairs(
 
     ``communities`` may also be a
     :class:`~repro.catalog.PersistentCatalog` (optionally restricted to
-    ``keys``): the candidate screen then runs as the catalog's indexed
-    window query and only the surviving communities' vectors are loaded
+    ``keys``): the candidate screen then runs over the catalog's stored
+    envelopes and only the surviving communities' vectors are loaded
     from disk — pairs the envelopes rule out are ranked at similarity 0
     from metadata alone, so a sweep over thousands of on-disk
     communities touches O(survivors) vector rows.  Communities are
@@ -138,38 +197,39 @@ def top_k_pairs(
     names may not be).  The returned ranking is identical to loading
     everything and calling this function with the in-memory list.
     """
+    records: dict[str, CatalogRecord] | None = None
     if isinstance(communities, PersistentCatalog):
-        return _top_k_pairs_catalog(
-            communities,
-            epsilon=epsilon,
-            k=k,
-            screen_method=screen_method,
-            refine_method=refine_method,
-            screen_margin=screen_margin,
-            n_jobs=n_jobs,
-            cache=cache,
-            envelope_screen=envelope_screen,
-            metrics=metrics,
-            telemetry=telemetry,
-            fault_policy=fault_policy,
-            checkpoint=checkpoint,
-            prefilter=prefilter,
-            keys=keys,
-            **options,
+        _validate([], k, screen_margin)
+        roster, records, live = _catalog_universe(
+            communities, keys, epsilon, envelope_screen
         )
-    if keys is not None:
-        raise ConfigurationError(
-            "keys= only applies when ranking from a PersistentCatalog"
-        )
-    _validate(communities, k, screen_margin)
+        names = list(records)
+        sizes = [record.n_users for record in records.values()]
+    else:
+        if keys is not None:
+            raise ConfigurationError(
+                "keys= only applies when ranking from a PersistentCatalog"
+            )
+        _validate(communities, k, screen_margin)
+        roster = communities
+        names = [community.name for community in communities]
+        sizes = [community.n_users for community in communities]
+        live = [
+            (names[i], names[j])
+            for i, j in _candidate_indices(communities, epsilon, envelope_screen)
+            if _ratio_ok(sizes[i], sizes[j])
+        ]
+    index_of = {community.name: index for index, community in enumerate(roster)}
     job_options = canonical_options(options)
-    joinable = [
-        (i, j)
-        for i, j in itertools.combinations(range(len(communities)), 2)
-        if _joinable(communities[i], communities[j])
-    ]
+
+    def jobs(pairs: list[tuple[str, str]], method: str) -> list[PairJob]:
+        return [
+            PairJob(index_of[first], index_of[second], method, epsilon, job_options)
+            for first, second in pairs
+        ]
+
     with BatchEngine(
-        communities,
+        roster,
         n_jobs=n_jobs,
         screen=envelope_screen,
         cache=cache,
@@ -178,43 +238,101 @@ def top_k_pairs(
         checkpoint=checkpoint,
         prefilter=prefilter,
     ) as engine:
-        screen_jobs = [
-            PairJob(i, j, screen_method, epsilon, job_options) for i, j in joinable
-        ]
-        screened: list[tuple[float, int, int]] = [
-            (outcome.result.similarity, job.first, job.second)
-            for job, outcome in zip(screen_jobs, engine.run(screen_jobs))
-        ]
-        screened.sort(
-            key=lambda entry: (
-                -entry[0],
-                communities[entry[1]].name,
-                communities[entry[2]].name,
-            )
+        screen_outcomes = engine.run(jobs(live, screen_method))
+        pool = _refinement_pool(
+            (
+                (outcome.result.similarity, first, second)
+                for (first, second), outcome in zip(live, screen_outcomes)
+            ),
+            names,
+            sizes,
+            k,
+            screen_margin,
         )
-        pool = screened[: _pool_size(len(screened), k, screen_margin)]
-        refine_jobs = [
-            PairJob(first, second, refine_method, epsilon, job_options)
+        # With every community in the roster (no catalog records), the
+        # pool's zero-tail entries go through the engine too and carry
+        # its screened or prefiltered labels, exactly as when every
+        # pair was submitted.
+        survivors = set(live)
+        refine_pairs = [
+            (first, second)
             for _, first, second in pool
+            if records is None or (first, second) in survivors
         ]
-        refined: list[PairScore] = []
-        for job, outcome in zip(refine_jobs, engine.run(refine_jobs)):
-            result = outcome.result
-            oriented = (
-                (job.second, job.first) if result.swapped else (job.first, job.second)
-            )
-            refined.append(
-                PairScore(
-                    name_b=communities[oriented[0]].name,
-                    name_a=communities[oriented[1]].name,
-                    similarity=result.similarity,
-                    result=result,
-                )
-            )
+        outcomes = engine.run(jobs(refine_pairs, refine_method))
+        refined = {
+            pair: outcome.result for pair, outcome in zip(refine_pairs, outcomes)
+        }
         if telemetry is not None:
             telemetry.extend(engine.telemetry)
-    refined.sort(key=lambda score: (-score.similarity, score.name_b, score.name_a))
-    return refined[:k]
+    scores: list[PairScore] = []
+    for _, first, second in pool:
+        result = refined.get((first, second))
+        if result is None:
+            assert records is not None
+            scores.append(
+                _zero_score(
+                    records[first], records[second], method=refine_method, epsilon=epsilon
+                )
+            )
+            continue
+        name_b, name_a = (second, first) if result.swapped else (first, second)
+        scores.append(PairScore(name_b, name_a, result.similarity, result))
+    scores.sort(key=lambda score: (-score.similarity, score.name_b, score.name_a))
+    return scores[:k]
+
+
+def _candidate_indices(
+    communities: list[Community], epsilon: int, envelope_screen: bool
+) -> Iterable[tuple[int, int]]:
+    """Index pairs ``i < j`` that may score above zero.
+
+    With the screen on, the envelope sweep's survivors; with it off,
+    every pair.
+    """
+    if not envelope_screen:
+        return itertools.combinations(range(len(communities)), 2)
+    if len(communities) < 2:
+        return []
+    dims = {community.n_dims for community in communities}
+    if len(dims) > 1:
+        raise DimensionMismatchError(min(dims), max(dims))
+    mins, maxs = stack_envelopes([community_envelope(c) for c in communities])
+    first, second = envelope_candidates(mins, maxs, epsilon)
+    return zip(first.tolist(), second.tolist())
+
+
+def _catalog_universe(
+    catalog: PersistentCatalog,
+    keys: list[str] | None,
+    epsilon: int,
+    envelope_screen: bool,
+) -> tuple[list[Community], dict[str, CatalogRecord], list[tuple[str, str]]]:
+    """Roster, metadata of the ranking universe (key order), live pairs.
+
+    The candidate screen reads only metadata and envelope rows; the
+    roster holds the survivors' vectors — the only vector loads of the
+    whole ranking, one per survivor, renamed to their catalog keys.
+    """
+    selected = sorted(set(keys)) if keys is not None else catalog.keys()
+    records = {key: catalog.metadata(key) for key in selected}
+    candidates: Iterable[tuple[str, str]] = (
+        catalog.candidate_pairs(epsilon, keys=keys)
+        if envelope_screen
+        else itertools.combinations(selected, 2)
+    )
+    live = [
+        (first, second)
+        for first, second in candidates
+        if _ratio_ok(records[first].n_users, records[second].n_users)
+    ]
+    roster = []
+    for key in sorted({key for pair in live for key in pair}):
+        community = catalog.get(key)
+        if community.name != key:
+            community = dataclasses.replace(community, name=key)
+        roster.append(community)
+    return roster, records, live
 
 
 def _zero_score(
@@ -254,114 +372,6 @@ def _zero_score(
     )
 
 
-def _top_k_pairs_catalog(
-    catalog: PersistentCatalog,
-    *,
-    epsilon: int,
-    k: int,
-    screen_method: str,
-    refine_method: str,
-    screen_margin: float,
-    n_jobs: int,
-    cache: JoinResultCache | int | None,
-    envelope_screen: bool,
-    metrics: MetricsRegistry | None,
-    telemetry: list[JoinTelemetry] | None,
-    fault_policy: FaultPolicy | None,
-    checkpoint: CheckpointLog | str | Path | None,
-    prefilter: SketchPrefilter | None,
-    keys: list[str] | None,
-    **options: object,
-) -> list[PairScore]:
-    """Catalog-backed top-k: screen in SQL, load only the survivors."""
-    _validate([], k, screen_margin)
-    selected = sorted(set(keys)) if keys is not None else catalog.keys()
-    records = {key: catalog.metadata(key) for key in selected}
-    joinable = [
-        (selected[i], selected[j])
-        for i, j in itertools.combinations(range(len(selected)), 2)
-        if _ratio_ok(records[selected[i]].n_users, records[selected[j]].n_users)
-    ]
-    if envelope_screen:
-        surviving = set(catalog.candidate_pairs(epsilon, keys=selected))
-    else:
-        surviving = set(joinable)
-    live_pairs = [pair for pair in joinable if pair in surviving]
-    needed = sorted({key for pair in live_pairs for key in pair})
-    # The only vector loads of the whole ranking: one per survivor.
-    loaded: dict[str, Community] = {}
-    for key in needed:
-        community = catalog.get(key)
-        if community.name != key:
-            community = dataclasses.replace(community, name=key)
-        loaded[key] = community
-    roster = [loaded[key] for key in needed]
-    index_of = {key: index for index, key in enumerate(needed)}
-    job_options = canonical_options(options)
-
-    def run_jobs(pairs: list[tuple[str, str]], method: str) -> list[CSJResult]:
-        if not pairs:
-            return []
-        jobs = [
-            PairJob(index_of[first], index_of[second], method, epsilon, job_options)
-            for first, second in pairs
-        ]
-        with BatchEngine(
-            roster,
-            n_jobs=n_jobs,
-            screen=envelope_screen,
-            cache=cache,
-            metrics=metrics,
-            fault_policy=fault_policy,
-            checkpoint=checkpoint,
-            prefilter=prefilter,
-        ) as engine:
-            outcomes = engine.run(jobs)
-            if telemetry is not None:
-                telemetry.extend(engine.telemetry)
-        return [outcome.result for outcome in outcomes]
-
-    screen_results = dict(zip(live_pairs, run_jobs(live_pairs, screen_method)))
-    screened = [
-        (
-            screen_results[pair].similarity if pair in screen_results else 0.0,
-            pair[0],
-            pair[1],
-        )
-        for pair in joinable
-    ]
-    screened.sort(key=lambda entry: (-entry[0], entry[1], entry[2]))
-    pool = screened[: _pool_size(len(screened), k, screen_margin)]
-    refine_pairs = [
-        (first, second) for _, first, second in pool if (first, second) in surviving
-    ]
-    refine_results = dict(zip(refine_pairs, run_jobs(refine_pairs, refine_method)))
-    refined: list[PairScore] = []
-    for _, first, second in pool:
-        result = refine_results.get((first, second))
-        if result is None:
-            refined.append(
-                _zero_score(
-                    records[first],
-                    records[second],
-                    method=refine_method,
-                    epsilon=epsilon,
-                )
-            )
-            continue
-        name_b, name_a = (second, first) if result.swapped else (first, second)
-        refined.append(
-            PairScore(
-                name_b=name_b,
-                name_a=name_a,
-                similarity=result.similarity,
-                result=result,
-            )
-        )
-    refined.sort(key=lambda score: (-score.similarity, score.name_b, score.name_a))
-    return refined[:k]
-
-
 def top_k_pairs_reference(
     communities: list[Community],
     *,
@@ -383,7 +393,7 @@ def top_k_pairs_reference(
     screener = get_algorithm(screen_method, epsilon, **options)
     screened: list[tuple[float, Community, Community]] = []
     for first, second in itertools.combinations(communities, 2):
-        if not _joinable(first, second):
+        if not _ratio_ok(len(first), len(second)):
             continue
         result = screener.join(first, second)
         screened.append((result.similarity, first, second))

@@ -24,7 +24,8 @@ Layout — three tables in one WAL-mode database:
   (the WAL journal rolls the torn transaction back) and two handles on
   the same database never clobber each other's entries.
 
-The window query runs in two stages, both vector-free:
+The single-probe window query (:meth:`PersistentCatalog.window_candidates`)
+runs in two stages, both vector-free:
 
 1. **Indexed range scan.**  Envelopes ``A`` and ``B`` survive the
    screen only if *every* dimension ``t`` satisfies
@@ -44,6 +45,13 @@ The window query runs in two stages, both vector-free:
    test of :func:`~repro.engine.envelope.envelopes_separated`.  The
    surviving set is therefore *identical* to the in-memory envelope
    screen — the tests assert it pair for pair.
+
+The all-pairs screen (:meth:`PersistentCatalog.candidate_pairs`) does
+not use the window index: balanced row sums make the summed condition
+prune nothing, so a self-join would return C^2 rows.  It reads the C
+envelope rows once instead and runs the output-sensitive sweep of
+:func:`~repro.engine.envelope.envelope_candidates`, whose cost follows
+the survivors.
 """
 
 from __future__ import annotations
@@ -61,7 +69,12 @@ from ..algorithms import get_algorithm
 from ..core.errors import ValidationError
 from ..core.types import Community
 from ..engine.cache import canonical_options
-from ..engine.envelope import Envelope, community_envelope, envelopes_separated
+from ..engine.envelope import (
+    Envelope,
+    community_envelope,
+    envelope_pairs,
+    envelopes_separated,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.registry import MetricsRegistry
@@ -136,6 +149,9 @@ CREATE TABLE IF NOT EXISTS similarity_cache (
     )
 );
 """
+
+#: Keys bound per ``IN (...)`` query, under SQLite's variable limit.
+_KEY_BATCH = 500
 
 #: Stage-1 candidate query: the indexed range scan of the docstring.
 #: ``?`` order: n_dims, probe sum_max + eps*d, probe sum_min - eps*d.
@@ -504,58 +520,52 @@ class PersistentCatalog:
             self.envelope(key), epsilon, exclude=key
         )
 
+    def envelopes(self, keys: Sequence[str] | None = None) -> dict[str, Envelope]:
+        """Stored envelopes of ``keys`` (default: every community).
+
+        One pass over the ``communities`` rows — no vectors — counted
+        into ``repro_catalog_rows_scanned_total`` (one per row read).
+        """
+        sql = "SELECT key, env_min, env_max FROM communities"
+        if keys is None:
+            queries: list[tuple[str, list[str]]] = [(f"{sql} ORDER BY key", [])]
+        else:
+            unique = sorted(set(keys))
+            queries = []
+            for start in range(0, len(unique), _KEY_BATCH):
+                batch = unique[start : start + _KEY_BATCH]
+                marks = ",".join("?" * len(batch))
+                queries.append((f"{sql} WHERE key IN ({marks}) ORDER BY key", batch))
+        envelopes: dict[str, Envelope] = {}
+        with self._lock:
+            for query, parameters in queries:
+                rows = self._connection.execute(query, parameters).fetchall()
+                for key, env_min, env_max in rows:
+                    envelopes[key] = Envelope(
+                        mins=_decode_envelope(env_min),
+                        maxs=_decode_envelope(env_max),
+                    )
+                self.inc("repro_catalog_rows_scanned_total", len(rows))
+        return envelopes
+
     def candidate_pairs(
         self, epsilon: int, *, keys: Sequence[str] | None = None
     ) -> list[tuple[str, str]]:
-        """All unordered pairs surviving the envelope screen.
+        """All unordered pairs surviving the envelope screen, sorted.
 
-        One indexed self-join emits the stage-1 candidates (the scalar
-        sum-envelope condition applied to both orientations), then the
-        per-dimension refinement runs vectorised over the emitted rows.
-        ``keys`` restricts the sweep to a subset; no vectors load.
+        Reads the C envelope rows once (:meth:`envelopes`) and runs the
+        output-sensitive sweep of
+        :func:`~repro.engine.envelope.envelope_candidates` per
+        dimensionality — O(C) rows scanned, never C^2.  ``keys``
+        restricts the sweep to a subset; no vectors load.
         """
         epsilon = int(epsilon)
         if epsilon < 0:
             raise ValidationError(f"epsilon must be >= 0, got {epsilon}")
-        restrict = ""
-        parameters: list[object] = [epsilon, epsilon]
-        if keys is not None:
-            marks = ",".join("?" for _ in keys)
-            restrict = (
-                f" AND a.key IN ({marks}) AND b.key IN ({marks})"
-                if keys
-                else " AND 0"
-            )
-            parameters.extend(keys)
-            parameters.extend(keys)
-        sql = (
-            "SELECT a.key, a.env_min, a.env_max, "
-            "       b.key, b.env_min, b.env_max "
-            "FROM communities AS a JOIN communities AS b "
-            "  ON b.key > a.key AND b.n_dims = a.n_dims "
-            " AND b.sum_min <= a.sum_max + ? * a.n_dims "
-            " AND a.sum_min <= b.sum_max + ? * a.n_dims"
-            + restrict
-            + " ORDER BY a.key, b.key"
-        )
+        envelopes = self.envelopes(keys)
+        pairs = envelope_pairs(envelopes, epsilon)
         with self._lock:
-            rows = self._connection.execute(sql, parameters).fetchall()
             self.inc("repro_catalog_window_queries_total")
-            self.inc("repro_catalog_rows_scanned_total", len(rows))
-            pairs: list[tuple[str, str]] = []
-            if rows:
-                mins_a = np.vstack([_decode_envelope(row[1]) for row in rows])
-                maxs_a = np.vstack([_decode_envelope(row[2]) for row in rows])
-                mins_b = np.vstack([_decode_envelope(row[4]) for row in rows])
-                maxs_b = np.vstack([_decode_envelope(row[5]) for row in rows])
-                separated = ((mins_a - maxs_b) > epsilon).any(axis=1) | (
-                    (mins_b - maxs_a) > epsilon
-                ).any(axis=1)
-                pairs = [
-                    (row[0], row[3])
-                    for row, out in zip(rows, separated)
-                    if not out
-                ]
             self.inc("repro_catalog_survivors_total", len(pairs))
         return pairs
 

@@ -33,6 +33,8 @@ from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ..algorithms import get_algorithm
 from ..algorithms.registry import ALGORITHMS
 from ..core.errors import ConfigurationError, UnknownAlgorithmError
@@ -42,13 +44,7 @@ from ..obs import JoinTelemetry, MetricsRegistry
 from ..obs.timers import stage_timer
 from .cache import JoinKey, JoinResultCache, canonical_options, decoded_options, join_key
 from .checkpoint import CheckpointLog
-from .envelope import (
-    Envelope,
-    community_envelope,
-    envelopes_separated,
-    separation_matrix,
-    stack_envelopes,
-)
+from .envelope import Envelope, community_envelope, envelopes_separated, stack_envelopes
 from .faults import (
     FaultPolicy,
     FaultSpec,
@@ -73,9 +69,8 @@ SKETCH_ENGINE = "sketch-screen"
 #: Label recorded in ``CSJResult.engine`` for quarantined (failed) jobs.
 QUARANTINE_ENGINE = "quarantined"
 
-#: Job lists at least this long screen via one broadcast
-#: :func:`~repro.engine.envelope.separation_matrix` call instead of
-#: per-pair Python-level envelope tests.
+#: Job lists at least this long screen via one vectorised per-job
+#: envelope gather instead of per-pair Python-level envelope tests.
 VECTOR_SCREEN_MIN_JOBS = 16
 
 
@@ -432,37 +427,32 @@ class BatchEngine:
         exact = self.prefilter.is_exact if self.prefilter is not None else False
         return self._synthetic_result(job, swapped, SKETCH_ENGINE, exact=exact)
 
-    def _screen_verdicts(
-        self, jobs: list[PairJob]
-    ) -> dict[tuple[int, int, int], bool] | None:
-        """Batch all-pairs envelope verdicts for long job lists.
+    def _screen_verdicts(self, jobs: list[PairJob]) -> list[bool] | None:
+        """Vectorised envelope verdicts for long job lists, in job order.
 
-        Groups jobs by epsilon, stacks the involved communities'
-        envelopes into ``(C, d)`` matrices and evaluates the whole
-        separation square in one broadcast op.  Returns ``None`` when
-        the scalar per-pair path is cheaper (short lists) or the screen
-        is off; verdicts are keyed ``(epsilon, first, second)`` and are
+        Gathers ``mins[first] - maxs[second]`` and the reverse per job —
+        O(J·d), never a C x C square.  ``None`` means: use the scalar
+        per-pair path (short list, screen off, or mixed dimensionalities,
+        which the per-pair validation then rejects).  Verdicts are
         bit-identical to :func:`envelopes_separated` (the tests assert
-        parity), so the fast path never changes results — the per-job
-        metric counters are incremented by the caller exactly as on the
-        scalar path.
+        parity), and the caller bumps the same per-job counters.
         """
         if not self.screen or len(jobs) < VECTOR_SCREEN_MIN_JOBS:
             return None
-        by_epsilon: dict[int, set[tuple[int, int]]] = {}
-        for job in jobs:
-            by_epsilon.setdefault(job.epsilon, set()).add((job.first, job.second))
-        verdicts: dict[tuple[int, int, int], bool] = {}
-        for epsilon, pairs in by_epsilon.items():
-            indices = sorted({index for pair in pairs for index in pair})
-            mins, maxs = stack_envelopes([self.envelope(i) for i in indices])
-            separated = separation_matrix(mins, maxs, epsilon)
-            rows = {index: row for row, index in enumerate(indices)}
-            for first, second in pairs:
-                verdicts[(epsilon, first, second)] = bool(
-                    separated[rows[first], rows[second]]
-                )
-        return verdicts
+        indices = sorted({index for job in jobs for index in (job.first, job.second)})
+        envelopes = [self.envelope(index) for index in indices]
+        if len({envelope.n_dims for envelope in envelopes}) != 1:
+            return None
+        mins, maxs = stack_envelopes(envelopes)
+        rows = {index: row for row, index in enumerate(indices)}
+        gather = np.array(
+            [(rows[job.first], rows[job.second], job.epsilon) for job in jobs]
+        )
+        first, second, epsilon = gather[:, 0], gather[:, 1], gather[:, 2:]
+        separated = ((mins[second] - maxs[first]) > epsilon).any(axis=1) | (
+            (mins[first] - maxs[second]) > epsilon
+        ).any(axis=1)
+        return separated.tolist()
 
     # -- execution -----------------------------------------------------
     def run(self, jobs: Iterable[PairJob]) -> list[PairOutcome]:
@@ -493,7 +483,7 @@ class BatchEngine:
                     continue
                 if self.screen:
                     if verdicts is not None:
-                        separated = verdicts[(job.epsilon, job.first, job.second)]
+                        separated = verdicts[position]
                         # Same counters the scalar path increments inside
                         # envelopes_separated — metric parity either way.
                         if self.metrics is not None:

@@ -35,21 +35,25 @@ writes as cells complete.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import json
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..analysis.sweeps import SweepPoint
-from ..apps.topk import PairScore, _pool_size, _ratio_ok, _validate, _zero_score
+from ..apps.topk import (
+    PairScore,
+    _joinable_count,
+    _ratio_ok,
+    _refinement_pool,
+    _validate,
+    _zero_score,
+)
 from ..catalog import CatalogRecord, PersistentCatalog
 from ..core.errors import ConfigurationError, ReproError
 from ..core.types import CSJResult
-from ..engine.envelope import envelopes_separated, separation_matrix, stack_envelopes
+from ..engine.envelope import envelope_pairs, envelopes_separated
 from ..obs import MetricsRegistry
 
 # Submodule-direct import on purpose: repro.serve.server imports
@@ -233,44 +237,6 @@ class ShardCoordinator:
             fingerprint="",
         )
 
-    def _env_candidates(
-        self, keys: Sequence[str], epsilon: int
-    ) -> set[tuple[str, str]]:
-        """Coordinator-side envelope screen from the plan's envelopes.
-
-        The escape hatch for the two paths shard-local scans cannot
-        cover: missing shards (whose pairs must be *identified* to be
-        reported lost) and query epsilons above the plan epsilon
-        (where co-location is no longer guaranteed).
-        """
-        by_dims: dict[int, list[str]] = {}
-        for key in keys:
-            by_dims.setdefault(self.plan.metadata[key][1], []).append(key)
-        pairs: set[tuple[str, str]] = set()
-        for group in by_dims.values():
-            if len(group) < 2:
-                continue
-            mins, maxs = stack_envelopes(
-                [self.plan.envelope_of(key) for key in group]
-            )
-            separated = separation_matrix(mins, maxs, int(epsilon))
-            pairs.update(
-                (group[i], group[j])
-                for i in range(len(group))
-                for j in range(i + 1, len(group))
-                if not separated[i, j]
-            )
-        return pairs
-
-    @staticmethod
-    def _joinable_count(sizes: Sequence[int]) -> int:
-        """Ratio-eligible pair count in O(C log C) — never O(C^2) space."""
-        ordered = sorted(sizes)
-        return sum(
-            bisect_right(ordered, 2 * size) - index - 1
-            for index, size in enumerate(ordered)
-        )
-
     # -- join batches with re-routing ----------------------------------
     def _run_join_batches(
         self,
@@ -410,11 +376,11 @@ class ShardCoordinator:
 
         # Pairs shard-local scans cannot vouch for: identify losses
         # under missing shards, and verify co-location coverage for
-        # epsilons above the plan epsilon.
+        # epsilons above the plan epsilon, from the plan's envelopes.
         lost: set[tuple[str, str]] = set()
         if missing or epsilon > self.plan.epsilon:
-            env_candidates = self._env_candidates(selected, epsilon)
-            for pair in env_candidates - live:
+            envelopes = {key: self.plan.envelope_of(key) for key in selected}
+            for pair in set(envelope_pairs(envelopes, epsilon)) - live:
                 if not _ratio_ok(
                     records[pair[0]].n_users, records[pair[1]].n_users
                 ):
@@ -458,35 +424,21 @@ class ShardCoordinator:
         live_exec = set(executable) - lost
 
         # Phase 3: bounded k-way merge against the lazy zero tail.
-        n_screened = self._joinable_count(
-            [records[key].n_users for key in selected]
-        ) - len(lost)
-
-        def zero_tail() -> Iterable[tuple[float, str, str]]:
-            for first, second in itertools.combinations(selected, 2):
-                pair = (first, second)
-                if pair in live_exec or pair in lost:
-                    continue
-                if not _ratio_ok(
-                    records[first].n_users, records[second].n_users
-                ):
-                    continue
-                yield (0.0, first, second)
-
-        ranked_streams: list[Iterable[tuple[float, str, str]]] = [
-            [
+        sizes = [records[key].n_users for key in selected]
+        n_screened = _joinable_count(sizes) - len(lost)
+        pool = _refinement_pool(
+            (
                 (entry["similarity"], entry["first"], entry["second"])
+                for stream in screen_streams
                 for entry in stream
                 if (entry["first"], entry["second"]) not in lost
-            ]
-            for stream in screen_streams
-        ]
-        merged = heapq.merge(
-            *ranked_streams,
-            zero_tail(),
-            key=lambda entry: (-entry[0], entry[1], entry[2]),
+            ),
+            selected,
+            sizes,
+            k,
+            screen_margin,
+            lost,
         )
-        pool = list(itertools.islice(merged, _pool_size(n_screened, k, screen_margin)))
         self.metrics.inc("repro_shard_pairs_merged_total", len(pool))
 
         # Phase 4: exact refinement of the pool's live entries.

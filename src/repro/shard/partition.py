@@ -309,15 +309,13 @@ def plan_partition(
     if not keys:
         raise ConfigurationError("cannot partition an empty catalog")
     metadata: dict[str, tuple[int, int]] = {}
-    envelopes: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for key in keys:
         record = catalog.metadata(key)
         metadata[key] = (record.n_users, record.n_dims)
-        envelope = catalog.envelope(key)
-        envelopes[key] = (
-            tuple(int(v) for v in envelope.mins),
-            tuple(int(v) for v in envelope.maxs),
-        )
+    envelopes = {
+        key: (tuple(envelope.mins.tolist()), tuple(envelope.maxs.tolist()))
+        for key, envelope in catalog.envelopes().items()
+    }
     if candidate_pairs is None:
         candidate_pairs = catalog.candidate_pairs(epsilon)
     calibration = _calibrate(

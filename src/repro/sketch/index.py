@@ -7,9 +7,9 @@ testing all ``O(C^2)`` envelope pairs one by one:
 * :meth:`SketchIndex.admits` — pair-level membership test against the
   two stored signatures (what the engine's pre-filter gate calls);
 * :meth:`SketchIndex.candidate_pairs` — enumerate every admitted pair.
-  ``coverage`` mode runs an interval sweep over one seed cell and
-  verifies survivors against the remaining cells; ``values`` mode
-  seeds from the most selective dimension's posting lists.  Both are
+  ``coverage`` mode runs the envelope sweep over the bucket
+  intervals; ``values`` mode seeds from the most selective
+  dimension's posting lists.  Both are
   output-sensitive: wall time scales with collisions found, not with
   the full pair square.
 
@@ -22,8 +22,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from ..core.errors import ConfigurationError
 from ..core.types import Community
+from ..engine.envelope import envelope_candidates
 from .signature import CommunitySignature, SketchConfig, build_signature
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -122,19 +125,29 @@ class SketchIndex:
     def candidate_pairs(self) -> set[tuple[int, int]]:
         """Every admitted unordered pair, as ``(i, j)`` with ``i < j``.
 
-        Seeds candidates from one cell (interval sweep in ``coverage``
-        mode, posting lists of the most selective dimension in
-        ``values`` mode) and verifies each seed against the full
-        signature, so generation cost tracks collisions, not ``C^2``.
+        ``coverage`` mode admits exactly the pairs whose bucket
+        intervals overlap in every cell — the envelope test at epsilon
+        0, answered by :func:`~repro.engine.envelope.envelope_candidates`.
+        ``values`` mode seeds from the most selective dimension's
+        posting lists and verifies each seed against the full
+        signature.  Generation cost tracks collisions, not ``C^2``.
         """
+        if not self.signatures:
+            return set()
         if self.config.mode == "coverage":
-            seeds = self._coverage_seeds()
+            first, second = envelope_candidates(
+                np.stack([sig.interval_lo.ravel() for sig in self.signatures]),
+                np.stack([sig.interval_hi.ravel() for sig in self.signatures]),
+                0,
+            )
+            seeds = out = set(zip(first.tolist(), second.tolist()))
         else:
             seeds = self._values_seeds()
-        out: set[tuple[int, int]] = set()
-        for first, second in seeds:
-            if self._collide(self.signatures[first], self.signatures[second]):
-                out.add((first, second))
+            out = {
+                pair
+                for pair in seeds
+                if self._collide(self.signatures[pair[0]], self.signatures[pair[1]])
+            }
         self.pairs_checked += len(seeds)
         self.collisions += len(out)
         self.pairs_skipped += len(seeds) - len(out)
@@ -146,23 +159,6 @@ class SketchIndex:
             )
         return out
 
-    def _coverage_seeds(self) -> set[tuple[int, int]]:
-        """Interval sweep on cell (band 0, dim 0): pairs overlapping there."""
-        spans = [
-            (int(sig.interval_lo[0, 0]), int(sig.interval_hi[0, 0]), index)
-            for index, sig in enumerate(self.signatures)
-            if sig.interval_lo is not None and sig.interval_hi is not None
-        ]
-        spans.sort()
-        seeds: set[tuple[int, int]] = set()
-        active: list[tuple[int, int]] = []  # (hi, index) still open
-        for lo, hi, index in spans:
-            active = [(a_hi, a_idx) for a_hi, a_idx in active if a_hi >= lo]
-            for _, a_idx in active:
-                seeds.add((min(a_idx, index), max(a_idx, index)))
-            active.append((hi, index))
-        return seeds
-
     def _values_seeds(self) -> set[tuple[int, int]]:
         """Posting-list seeds from the most selective dimension.
 
@@ -170,8 +166,6 @@ class SketchIndex:
         band, so the union of per-bucket pair lists over that
         dimension's bands is a superset of all admitted pairs.
         """
-        if not self.signatures:
-            return set()
         n_dims = self.signatures[0].n_dims
         n_bands = self.config.n_bands
         postings: list[dict[tuple[int, int], list[int]]] = []

@@ -17,7 +17,7 @@ from repro.engine import (
     envelopes_separated,
 )
 from repro.engine.batch import SKETCH_ENGINE
-from repro.engine.envelope import separation_matrix, stack_envelopes
+from repro.engine.envelope import envelope_candidates, stack_envelopes
 from repro.obs import MetricsRegistry
 from repro.sketch import (
     RecallEstimator,
@@ -338,18 +338,17 @@ class TestEnginePrefilter:
 # vectorised envelope screening (satellite)
 # ----------------------------------------------------------------------
 class TestVectorisedScreen:
-    def test_separation_matrix_matches_scalar(self):
+    def test_envelope_candidates_match_scalar(self):
         fleet = banded_fleet(3, 2, band_gap=30, high=25)
         envelopes = [community_envelope(c) for c in fleet]
         mins, maxs = stack_envelopes(envelopes)
         for epsilon in (0, 1, 5, 40):
-            matrix = separation_matrix(mins, maxs, epsilon)
+            first, second = envelope_candidates(mins, maxs, epsilon)
+            survivors = set(zip(first.tolist(), second.tolist()))
             for i in range(len(fleet)):
-                for j in range(len(fleet)):
-                    if i == j:
-                        continue
-                    assert bool(matrix[i, j]) == envelopes_separated(
-                        envelopes[i], envelopes[j], epsilon
+                for j in range(i + 1, len(fleet)):
+                    assert ((i, j) in survivors) == (
+                        not envelopes_separated(envelopes[i], envelopes[j], epsilon)
                     )
 
     def test_long_job_lists_screen_identically(self):
