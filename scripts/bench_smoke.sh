@@ -4,13 +4,12 @@
 # Exercises the full bench code path (reference vs engine-serial vs
 # engine-parallel vs cache-warm, byte-identical ranking assertions, the
 # supervised/retry-path faults bench, the serving-layer load and
-# burst-shedding benches, the sketch pre-filter bench, plus the
-# incremental delta-maintenance bench, the persistent-catalog bench
-# and the shard-scaling bench) in a few seconds.  Smoke mode
-# skips the speedup assertions and does NOT overwrite BENCH_engine.json
-# — run the benches without these knobs to record real numbers
-# (including the "faults", "serve", "sketch", "delta", "catalog" and
-# "shard" sections).
+# burst-shedding benches, plus the incremental delta-maintenance
+# bench, the persistent-catalog bench and the shard-scaling bench) in
+# a few seconds.  Smoke mode skips the speedup assertions and does NOT
+# overwrite BENCH_engine.json — run the benches without these knobs to
+# record real numbers (including the "faults", "serve", "delta",
+# "catalog" and "shard" sections).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,13 +26,6 @@ export REPRO_BENCH_SERVE_REQUESTS=10
 export REPRO_BENCH_SERVE_BANDS=2
 export REPRO_BENCH_SERVE_PER_BAND=2
 export REPRO_BENCH_SERVE_USERS=30
-
-export REPRO_BENCH_SKETCH_SMOKE=1
-export REPRO_BENCH_SKETCH_BANDS=4
-export REPRO_BENCH_SKETCH_PER_BAND=3
-export REPRO_BENCH_SKETCH_USERS=12
-export REPRO_BENCH_SKETCH_DIMS=4
-export REPRO_BENCH_SKETCH_SAMPLE_PAIRS=24
 
 export REPRO_BENCH_DELTA_SMOKE=1
 export REPRO_BENCH_DELTA_USERS=60
@@ -55,6 +47,6 @@ export REPRO_BENCH_SHARD_SHARDS=1,2
 
 PYTHONPATH=src python -m pytest \
   benchmarks/bench_engine_batch.py benchmarks/bench_serve_load.py \
-  benchmarks/bench_sketch_prefilter.py benchmarks/bench_incremental_updates.py \
+  benchmarks/bench_incremental_updates.py \
   benchmarks/bench_catalog.py benchmarks/bench_shard_scaling.py \
   -m bench -q -s "$@"

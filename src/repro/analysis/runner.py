@@ -31,7 +31,6 @@ from ..algorithms import APPROXIMATE_METHODS, EXACT_METHODS, get_algorithm
 from ..core.errors import ConfigurationError
 from ..core.types import Community, CSJResult
 from ..engine import BatchEngine, CheckpointLog, FaultPolicy, JoinResultCache, PairJob
-from ..sketch import SketchPrefilter
 from ..obs import JoinTelemetry, MetricsRegistry
 from ..datasets.categories import CATEGORIES
 from ..datasets.couples import (
@@ -175,7 +174,6 @@ def run_couple(
     metrics: MetricsRegistry | None = None,
     fault_policy: FaultPolicy | None = None,
     checkpoint: CheckpointLog | str | Path | None = None,
-    prefilter: SketchPrefilter | None = None,
 ) -> CoupleRun:
     """Build one couple and run every requested method on it.
 
@@ -199,7 +197,6 @@ def run_couple(
         metrics=metrics,
         fault_policy=fault_policy,
         checkpoint=checkpoint,
-        prefilter=prefilter,
     ) as batch_engine:
         for job, outcome in zip(jobs, batch_engine.run(jobs)):
             run.results[job.method] = outcome.result
@@ -221,7 +218,6 @@ def run_method_table(
     metrics: MetricsRegistry | None = None,
     fault_policy: FaultPolicy | None = None,
     checkpoint: CheckpointLog | str | Path | None = None,
-    prefilter: SketchPrefilter | None = None,
 ) -> TableRun:
     """Regenerate one of Tables 3–10 at the given scale.
 
@@ -275,7 +271,6 @@ def run_method_table(
         metrics=metrics,
         fault_policy=fault_policy,
         checkpoint=checkpoint,
-        prefilter=prefilter,
     ) as batch_engine:
         outcomes = batch_engine.run(jobs)
         run.telemetry = list(batch_engine.telemetry)

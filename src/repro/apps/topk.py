@@ -42,7 +42,6 @@ from ..engine import (
 from ..engine.batch import SCREEN_ENGINE
 from ..engine.envelope import community_envelope, envelope_candidates, stack_envelopes
 from ..obs import JoinTelemetry, MetricsRegistry
-from ..sketch import SketchPrefilter
 
 __all__ = ["PairScore", "top_k_pairs", "top_k_pairs_reference", "zero_tail"]
 
@@ -153,7 +152,6 @@ def top_k_pairs(
     telemetry: list[JoinTelemetry] | None = None,
     fault_policy: FaultPolicy | None = None,
     checkpoint: CheckpointLog | str | Path | None = None,
-    prefilter: SketchPrefilter | None = None,
     keys: list[str] | None = None,
     **options: object,
 ) -> list[PairScore]:
@@ -180,12 +178,6 @@ def top_k_pairs(
     makes completed joins durable so a killed ranking resumes without
     recomputing finished pairs.
 
-    ``prefilter`` (a :class:`~repro.sketch.SketchPrefilter`) gates both
-    phases through the sketch tier's candidate generator; with a lossy
-    tier (``target_recall < 1``) the measured recall is folded into
-    every surviving result's ``p``, so the ranking's similarities carry
-    the candidate-generation error honestly (see ``docs/approx.md``).
-
     ``communities`` may also be a
     :class:`~repro.catalog.PersistentCatalog` (optionally restricted to
     ``keys``): the candidate screen then runs over the catalog's stored
@@ -195,7 +187,11 @@ def top_k_pairs(
     communities touches O(survivors) vector rows.  Communities are
     ranked under their catalog keys (keys are unique; stored display
     names may not be).  The returned ranking is identical to loading
-    everything and calling this function with the in-memory list.
+    everything and calling this function with the in-memory list *in
+    name order* (the catalog's key order).  Other input orders may rank
+    differently: an equal-size pair keeps the orientation its input
+    order gives it, and screen-score ties at the refinement-pool
+    boundary are cut by ``(first, second)`` in that orientation.
     """
     records: dict[str, CatalogRecord] | None = None
     if isinstance(communities, PersistentCatalog):
@@ -236,7 +232,6 @@ def top_k_pairs(
         metrics=metrics,
         fault_policy=fault_policy,
         checkpoint=checkpoint,
-        prefilter=prefilter,
     ) as engine:
         screen_outcomes = engine.run(jobs(live, screen_method))
         pool = _refinement_pool(
@@ -251,8 +246,7 @@ def top_k_pairs(
         )
         # With every community in the roster (no catalog records), the
         # pool's zero-tail entries go through the engine too and carry
-        # its screened or prefiltered labels, exactly as when every
-        # pair was submitted.
+        # its screened labels, exactly as when every pair was submitted.
         survivors = set(live)
         refine_pairs = [
             (first, second)

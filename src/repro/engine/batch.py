@@ -25,13 +25,12 @@ each worker.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,16 +54,10 @@ from .faults import (
 from .fingerprint import community_fingerprint
 from .shared import AttachedVectorStore, SharedVectorStore, StoreLayout
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sketch.prefilter import SketchPrefilter
-
 __all__ = ["Disposition", "PairJob", "PairOutcome", "BatchEngine"]
 
 #: Label recorded in ``CSJResult.engine`` for screened-out pairs.
 SCREEN_ENGINE = "envelope-screen"
-
-#: Label recorded in ``CSJResult.engine`` for sketch-prefiltered pairs.
-SKETCH_ENGINE = "sketch-screen"
 
 #: Label recorded in ``CSJResult.engine`` for quarantined (failed) jobs.
 QUARANTINE_ENGINE = "quarantined"
@@ -79,7 +72,6 @@ class Disposition(enum.Enum):
 
     COMPUTED = "computed"  # the join actually ran
     SCREENED = "screened"  # envelopes proved similarity 0
-    PREFILTERED = "prefiltered"  # the sketch tier dropped the pair
     CACHED = "cached"  # served from the join-result cache
     FAILED = "failed"  # quarantined after exhausting its attempts
 
@@ -266,15 +258,6 @@ class BatchEngine:
         path to one).  Completed joins are durably appended; on
         construction the log is loaded into the join cache (created if
         necessary) so a resumed run recomputes no finished pair.
-    prefilter:
-        Optional :class:`~repro.sketch.SketchPrefilter`.  When given,
-        every job first passes the sketch tier's band-bucket collision
-        gate (ahead of the envelope screen); dropped pairs resolve to
-        ``PREFILTERED`` similarity-0 outcomes, and the tier's measured
-        recall is folded into the ``p`` of computed/cached results so
-        approximate runs report honestly deflated similarities.
-        ``None`` (default) keeps results byte-identical to the
-        pre-sketch engine.
     fault_injector:
         Optional :class:`~repro.engine.faults.FaultSpec` — the
         deterministic test hook that kills / hangs / raises on the k-th
@@ -292,7 +275,6 @@ class BatchEngine:
         metrics: MetricsRegistry | None = None,
         fault_policy: FaultPolicy | None = None,
         checkpoint: CheckpointLog | str | Path | None = None,
-        prefilter: "SketchPrefilter | None" = None,
         fault_injector: FaultSpec | None = None,
     ) -> None:
         if n_jobs < 1:
@@ -311,13 +293,9 @@ class BatchEngine:
         #: while a registry is attached (empty otherwise).
         self.telemetry: list[JoinTelemetry] = []
         self.screened_count = 0
-        self.prefiltered_count = 0
         self.computed_count = 0
         self.cached_count = 0
         self.failed_count = 0
-        self.prefilter = prefilter
-        if prefilter is not None:
-            prefilter.bind(self.communities, metrics=metrics)
         #: Joins restored from the checkpoint log at construction.
         self.resumed_count = 0
         #: Quarantine records of every ``run`` call, in arrival order.
@@ -388,12 +366,7 @@ class BatchEngine:
         return key, swapped
 
     def _synthetic_result(
-        self,
-        job: PairJob,
-        swapped: bool,
-        engine_label: str,
-        *,
-        exact: bool | None = None,
+        self, job: PairJob, swapped: bool, engine_label: str
     ) -> CSJResult:
         """An empty-matching result for a pair that never ran a join."""
         oriented = (job.second, job.first) if swapped else (job.first, job.second)
@@ -402,7 +375,7 @@ class BatchEngine:
         algorithm_cls = ALGORITHMS[job.method.strip().lower()]
         return CSJResult(
             method=algorithm_cls.name,
-            exact=algorithm_cls.exact if exact is None else exact,
+            exact=algorithm_cls.exact,
             size_b=community_b.n_users,
             size_a=community_a.n_users,
             epsilon=job.epsilon,
@@ -416,16 +389,6 @@ class BatchEngine:
     def _screened_result(self, job: PairJob, swapped: bool) -> CSJResult:
         """A similarity-0 result for a pair the envelopes ruled out."""
         return self._synthetic_result(job, swapped, SCREEN_ENGINE)
-
-    def _prefiltered_result(self, job: PairJob, swapped: bool) -> CSJResult:
-        """A similarity-0 result for a pair the sketch tier dropped.
-
-        Unlike the envelope screen, a sketch drop is only *probably*
-        right (unless the tier is exact), so the result is marked
-        approximate regardless of the requested method.
-        """
-        exact = self.prefilter.is_exact if self.prefilter is not None else False
-        return self._synthetic_result(job, swapped, SKETCH_ENGINE, exact=exact)
 
     def _screen_verdicts(self, jobs: list[PairJob]) -> list[bool] | None:
         """Vectorised envelope verdicts for long job lists, in job order.
@@ -471,16 +434,6 @@ class BatchEngine:
                 )
                 if job.method.strip().lower() not in ALGORITHMS:
                     raise UnknownAlgorithmError(job.method, tuple(ALGORITHMS))
-                if self.prefilter is not None and not self.prefilter.admits(
-                    job.epsilon, job.first, job.second
-                ):
-                    self.prefiltered_count += 1
-                    outcomes[position] = PairOutcome(
-                        job,
-                        Disposition.PREFILTERED,
-                        self._prefiltered_result(job, swapped),
-                    )
-                    continue
                 if self.screen:
                     if verdicts is not None:
                         separated = verdicts[position]
@@ -548,43 +501,11 @@ class BatchEngine:
                 if self._checkpoint is not None and key is not None:
                     self._checkpoint.append(key, result)
                 outcomes[position] = PairOutcome(job, Disposition.COMPUTED, result)
-        if self.prefilter is not None and not self.prefilter.is_exact:
-            self._fold_recall(outcomes)
         assert all(outcome is not None for outcome in outcomes)
         if self.metrics is not None:
             for outcome in outcomes:
                 self._observe(outcome)  # type: ignore[arg-type]
         return outcomes  # type: ignore[return-value]
-
-    def _fold_recall(self, outcomes: list[PairOutcome | None]) -> None:
-        """Multiply the sketch tier's measured recall into reported ``p``.
-
-        Runs only for lossy pre-filters, *after* cache and checkpoint
-        writes: stored results stay pure join outputs (reusable by
-        exact runs) while the outcomes handed back report
-        ``similarity = p * recall * |M| / |B|`` — Eq. (1) with the
-        candidate-generation error folded in.  Folded results are
-        copies, so cached entries are never mutated, and they are
-        marked approximate.
-        """
-        assert self.prefilter is not None
-        for outcome in outcomes:
-            if outcome is None or outcome.disposition not in (
-                Disposition.COMPUTED,
-                Disposition.CACHED,
-            ):
-                continue
-            recall = self.prefilter.recall(outcome.job.epsilon)
-            if recall >= 1.0:
-                continue
-            result = outcome.result
-            outcome.result = dataclasses.replace(
-                result,
-                p=result.p * recall,
-                exact=False,
-                pairs=list(result.pairs),
-                stage_seconds=dict(result.stage_seconds),
-            )
 
     def _observe(self, outcome: PairOutcome) -> None:
         """Record one resolved job into the registry and telemetry log."""
@@ -797,9 +718,6 @@ class BatchEngine:
             "failed": self.failed_count,
             "n_jobs": self.n_jobs,
         }
-        if self.prefilter is not None:
-            stats["prefiltered"] = self.prefiltered_count
-            stats["sketch"] = self.prefilter.stats()
         if self.cache is not None:
             stats["cache"] = self.cache.stats()
         if self._checkpoint is not None:

@@ -46,7 +46,6 @@ from ..engine import (
     canonical_options,
 )
 from ..obs import MetricsRegistry
-from ..sketch import SketchPrefilter
 from .protocol import ProtocolError
 from .store import CommunityStore, DeltaJoinPool, StoreSnapshot
 
@@ -78,6 +77,11 @@ HEAVY_OPS = frozenset({"join", "topk", "update", "candidates", "join_batch"})
 
 #: JSON-representable option value types accepted in ``args.options``.
 _OPTION_TYPES = (bool, int, float, str, type(None))
+
+#: ``topk`` arguments of the removed approximate pre-filter tier.  Other
+#: unknown arguments are ignored; these are refused so a client still
+#: asking for an approximate ranking is told it gets none.
+_REMOVED_TOPK_ARGS = ("prefilter", "target_recall")
 
 
 # ----------------------------------------------------------------------
@@ -140,38 +144,6 @@ def _arg_bool(args: Mapping[str, object], key: str, default: bool) -> bool:
     return value
 
 
-def _arg_float(
-    args: Mapping[str, object], key: str, default: float,
-    *, minimum: float | None = None, maximum: float | None = None,
-) -> float:
-    value = args.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError("invalid", f"'{key}' must be a number")
-    value = float(value)
-    if minimum is not None and value < minimum:
-        raise ProtocolError("invalid", f"'{key}' must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ProtocolError("invalid", f"'{key}' must be <= {maximum}, got {value}")
-    return value
-
-
-def _arg_prefilter(
-    args: Mapping[str, object], seed: int = 7
-) -> "SketchPrefilter | None":
-    """Build the optional sketch pre-filter from ``topk`` arguments."""
-    choice = args.get("prefilter", "none")
-    if choice not in ("none", "sketch"):
-        raise ProtocolError(
-            "invalid", f"'prefilter' must be 'none' or 'sketch', got {choice!r}"
-        )
-    target_recall = _arg_float(
-        args, "target_recall", 1.0, minimum=1e-6, maximum=1.0
-    )
-    if choice == "none":
-        return None
-    return SketchPrefilter(target_recall=target_recall, seed=seed)
-
-
 # ----------------------------------------------------------------------
 # heavy-op work descriptions (planned on the loop, run on the executor)
 # ----------------------------------------------------------------------
@@ -206,7 +178,6 @@ class TopkWork:
     fault_policy: FaultPolicy | None
     collect_metrics: bool = False
     names: list[str] = field(default_factory=list)
-    prefilter: SketchPrefilter | None = None
 
 
 def plan_join(server: "CSJServer", args: Mapping[str, object]) -> JoinWork:
@@ -234,6 +205,11 @@ def plan_join(server: "CSJServer", args: Mapping[str, object]) -> JoinWork:
 
 def plan_topk(server: "CSJServer", args: Mapping[str, object]) -> TopkWork:
     """Validate ``topk`` arguments and freeze the ranked communities."""
+    for key in _REMOVED_TOPK_ARGS:
+        if key in args:
+            raise ProtocolError(
+                "invalid", f"'{key}' was removed: topk always ranks exactly"
+            )
     epsilon = _arg_int(args, "epsilon", minimum=0, required=True)
     k = _arg_int(args, "k", minimum=1, default=5)
     assert epsilon is not None and k is not None
@@ -265,7 +241,6 @@ def plan_topk(server: "CSJServer", args: Mapping[str, object]) -> TopkWork:
         fault_policy=config.fault_policy,
         collect_metrics=True,
         names=names,
-        prefilter=_arg_prefilter(args),
     )
 
 
@@ -587,7 +562,6 @@ def execute_topk_work(work: TopkWork) -> tuple[dict, dict | None]:
         envelope_screen=work.screen,
         metrics=scratch,
         fault_policy=work.fault_policy,
-        prefilter=work.prefilter,
         **work.options,
     )
     versions = {
@@ -609,10 +583,6 @@ def execute_topk_work(work: TopkWork) -> tuple[dict, dict | None]:
             for rank, score in enumerate(scores, start=1)
         ],
     }
-    if work.prefilter is not None:
-        # Approximate rankings carry their own error bar: the measured
-        # per-epsilon recall already folded into each similarity.
-        result["prefilter"] = work.prefilter.stats()
     return result, (scratch.snapshot() if scratch is not None else None)
 
 

@@ -297,8 +297,9 @@ class TestTelemetryCLI:
         assert "# TYPE repro_engine_jobs_total counter" in out
         assert "repro_core_events_total" in out
         # Every zero-init family is present even with no matching
-        # traffic — regression for the dump covering sketch but not
-        # delta counters.
+        # traffic — regression for a dump that covered some families
+        # but not the delta counters.
         assert "repro_delta_refreshes_total 0" in out
         assert "repro_delta_evictions_total 0" in out
-        assert "repro_sketch_pairs_checked_total 0" in out
+        assert "repro_catalog_rows_scanned_total 0" in out
+        assert "repro_shard_retries_total 0" in out

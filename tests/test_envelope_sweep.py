@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -27,7 +28,8 @@ from repro.apps import top_k_pairs, top_k_pairs_reference
 from repro.apps.topk import _joinable_count, _ratio_ok, zero_tail
 from repro.catalog import PersistentCatalog
 from repro.core.types import Community
-from repro.engine import BatchEngine, PairJob
+from repro.engine import BatchEngine, Disposition, PairJob
+from repro.engine.batch import VECTOR_SCREEN_MIN_JOBS
 from repro.engine.envelope import (
     Envelope,
     community_envelope,
@@ -37,6 +39,7 @@ from repro.engine.envelope import (
 )
 from repro.obs import MetricsRegistry
 from repro.shard import ShardFleet, partition_catalog
+from repro.testing import banded_community_fleet
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -357,3 +360,48 @@ class TestEngineGather:
         with BatchEngine(fleet) as engine:
             with pytest.raises(DimensionMismatchError):
                 engine.run(jobs)
+
+    def test_long_job_lists_screen_identically(self):
+        """The O(J·d) gather and the scalar path agree, counters included."""
+        fleet = banded_community_fleet(4, 3)  # 12 communities, 66 pairs
+        jobs = [
+            PairJob.build(i, j, "ex-minmax", 2)
+            for i, j in itertools.combinations(range(len(fleet)), 2)
+        ]
+        assert len(jobs) >= VECTOR_SCREEN_MIN_JOBS
+        vector_metrics = MetricsRegistry()
+        with BatchEngine(fleet, metrics=vector_metrics) as engine:
+            vector = engine.run(jobs)
+        # Batches one short of the threshold take the scalar path.
+        step = VECTOR_SCREEN_MIN_JOBS - 1
+        scalar_metrics = MetricsRegistry()
+        with BatchEngine(fleet, metrics=scalar_metrics) as engine:
+            scalar = [
+                outcome
+                for start in range(0, len(jobs), step)
+                for outcome in engine.run(jobs[start : start + step])
+            ]
+        assert [o.disposition for o in vector] == [o.disposition for o in scalar]
+        assert [o.result.similarity for o in vector] == [
+            o.result.similarity for o in scalar
+        ]
+        for name in (
+            "repro_engine_envelope_tests_total",
+            "repro_engine_envelope_separations_total",
+        ):
+            assert vector_metrics.counter(name) == scalar_metrics.counter(name)
+        assert vector_metrics.counter("repro_engine_envelope_tests_total") == len(jobs)
+        screened = [o for o in vector if o.disposition is Disposition.SCREENED]
+        assert 0 < len(screened) < len(jobs)
+        assert vector_metrics.counter(
+            "repro_engine_envelope_separations_total"
+        ) == len(screened)
+
+    def test_envelope_memoised_per_community(self):
+        fleet = banded_community_fleet(1, 2)
+        first = community_envelope(fleet[0])
+        assert community_envelope(fleet[0]) is first
+        clone = dataclasses.replace(fleet[0], name="clone")
+        assert "_envelope_cache" not in clone.__dict__
+        assert community_envelope(clone) is not first
+        np.testing.assert_array_equal(community_envelope(clone).mins, first.mins)

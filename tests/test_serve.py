@@ -326,6 +326,20 @@ class TestServiceEndToEnd:
         assert ranking == expected
         assert served["versions"] == {c.name: 0 for c in communities}
 
+    @pytest.mark.parametrize(
+        "removed",
+        [{"prefilter": "sketch"}, {"prefilter": "none"}, {"target_recall": 0.9}],
+    )
+    def test_topk_rejects_removed_prefilter_args(self, removed):
+        with ServerThread(store=_store_with_fleet()) as st:
+            with ServeClient(*st.address) as client:
+                key = next(iter(removed))
+                with pytest.raises(ServeError, match=f"'{key}' was removed") as excinfo:
+                    client.request("topk", {"epsilon": EPSILON, "k": 3, **removed})
+                assert excinfo.value.code == "invalid"
+                # The connection stays usable once the argument is dropped.
+                assert client.topk(epsilon=EPSILON, k=3)["ranking"]
+
     def test_error_responses_over_the_wire(self):
         with ServerThread(store=_store_with_fleet()) as st:
             names = st.server.store.names()
