@@ -10,6 +10,11 @@
 # overwrite BENCH_engine.json — run the benches without these knobs to
 # record real numbers (including the "faults", "serve", "delta",
 # "catalog" and "shard" sections).
+#
+# It then runs perfbench's deterministic work-counter gate on the
+# dense and sparse fleets: two traced runs per workload must report
+# identical jobs, joins and MATCH/NO_MATCH event counts.  Counters are
+# stable on shared runners where seconds are not.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,3 +55,7 @@ PYTHONPATH=src python -m pytest \
   benchmarks/bench_incremental_updates.py \
   benchmarks/bench_catalog.py benchmarks/bench_shard_scaling.py \
   -m bench -q -s "$@"
+
+for workload in dense-fleet sparse-fleet; do
+  python3 perfbench/check.py counts --workload "$workload" --seed 7 --seconds 3
+done

@@ -74,11 +74,8 @@ class _HybridBase(CSJAlgorithm):
         )
         parts_b = encoder.part_sums(vectors_b)
         encoded_id = parts_b.sum(axis=1)
-        lowered = np.maximum(vectors_a - self.epsilon, 0)
-        raised = vectors_a + self.epsilon
-        slices = encoder.part_slices(vectors_a.shape[1])
-        range_min = np.stack([lowered[:, sl].sum(axis=1) for sl in slices], axis=1)
-        range_max = np.stack([raised[:, sl].sum(axis=1) for sl in slices], axis=1)
+        range_min = encoder.part_sums(np.maximum(vectors_a - self.epsilon, 0))
+        range_max = encoder.part_sums(vectors_a + self.epsilon)
 
         return {
             "raw_b": vectors_b[order_b],

@@ -308,12 +308,11 @@ def _catalog_universe(
     roster holds the survivors' vectors — the only vector loads of the
     whole ranking, one per survivor, renamed to their catalog keys.
     """
-    selected = sorted(set(keys)) if keys is not None else catalog.keys()
-    records = {key: catalog.metadata(key) for key in selected}
+    records = catalog.records(keys)
     candidates: Iterable[tuple[str, str]] = (
         catalog.candidate_pairs(epsilon, keys=keys)
         if envelope_screen
-        else itertools.combinations(selected, 2)
+        else itertools.combinations(records, 2)
     )
     live = [
         (first, second)

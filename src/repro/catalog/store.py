@@ -153,6 +153,9 @@ CREATE TABLE IF NOT EXISTS similarity_cache (
 #: Keys bound per ``IN (...)`` query, under SQLite's variable limit.
 _KEY_BATCH = 500
 
+#: ``communities`` columns behind one :class:`CatalogRecord`.
+_RECORD_COLUMNS = "key, name, category, page_id, n_users, n_dims, fingerprint"
+
 #: Stage-1 candidate query: the indexed range scan of the docstring.
 #: ``?`` order: n_dims, probe sum_max + eps*d, probe sum_min - eps*d.
 #: No ORDER BY — survivors are sorted in Python so the planner is free
@@ -209,6 +212,20 @@ def _encode_envelope(bounds: np.ndarray) -> bytes:
 
 def _decode_envelope(blob: bytes) -> np.ndarray:
     return np.frombuffer(blob, dtype=_INT64).astype(np.int64, copy=False)
+
+
+def _record(row: tuple) -> CatalogRecord:
+    """A :class:`CatalogRecord` from one ``_RECORD_COLUMNS`` row."""
+    key, name, category, page_id, n_users, n_dims, fingerprint = row
+    return CatalogRecord(
+        key=key,
+        name=name,
+        category=category,
+        page_id=int(page_id),
+        n_users=int(n_users),
+        n_dims=int(n_dims),
+        fingerprint=fingerprint,
+    )
 
 
 class PersistentCatalog:
@@ -405,21 +422,28 @@ class PersistentCatalog:
         """One community's metadata row; no vector bytes are read."""
         with self._lock:
             row = self._connection.execute(
-                "SELECT key, name, category, page_id, n_users, n_dims, "
-                "fingerprint FROM communities WHERE key = ?",
+                f"SELECT {_RECORD_COLUMNS} FROM communities WHERE key = ?",
                 (key,),
             ).fetchone()
         if row is None:
             raise ValidationError(f"no community registered under {key!r}")
-        return CatalogRecord(
-            key=row[0],
-            name=row[1],
-            category=row[2],
-            page_id=int(row[3]),
-            n_users=int(row[4]),
-            n_dims=int(row[5]),
-            fingerprint=row[6],
-        )
+        return _record(row)
+
+    def records(self, keys: Sequence[str] | None = None) -> dict[str, CatalogRecord]:
+        """Metadata rows of ``keys`` (default: every community), in key order.
+
+        One ``ORDER BY key`` pass (``IN``-batched for explicit keys)
+        instead of one :meth:`metadata` query per key; no vector bytes
+        are read.  A missing key raises ``ValidationError``.
+        """
+        records = {
+            row[0]: _record(row) for row in self._keyed_rows(_RECORD_COLUMNS, keys)
+        }
+        if keys is not None:
+            for key in sorted(set(keys)):
+                if key not in records:
+                    raise ValidationError(f"no community registered under {key!r}")
+        return records
 
     def envelope(self, key: str) -> Envelope:
         """The stored per-dimension Min/Max envelope of one community."""
@@ -526,7 +550,25 @@ class PersistentCatalog:
         One pass over the ``communities`` rows — no vectors — counted
         into ``repro_catalog_rows_scanned_total`` (one per row read).
         """
-        sql = "SELECT key, env_min, env_max FROM communities"
+        rows = self._keyed_rows("key, env_min, env_max", keys)
+        with self._lock:
+            self.inc("repro_catalog_rows_scanned_total", len(rows))
+        return {
+            key: Envelope(
+                mins=_decode_envelope(env_min), maxs=_decode_envelope(env_max)
+            )
+            for key, env_min, env_max in rows
+        }
+
+    def _keyed_rows(
+        self, columns: str, keys: Sequence[str] | None
+    ) -> list[tuple]:
+        """``columns`` of the ``communities`` rows of ``keys``, in key order.
+
+        ``None`` reads every row in one pass; explicit keys are bound
+        ``_KEY_BATCH`` at a time.  Missing keys are simply absent.
+        """
+        sql = f"SELECT {columns} FROM communities"
         if keys is None:
             queries: list[tuple[str, list[str]]] = [(f"{sql} ORDER BY key", [])]
         else:
@@ -536,17 +578,11 @@ class PersistentCatalog:
                 batch = unique[start : start + _KEY_BATCH]
                 marks = ",".join("?" * len(batch))
                 queries.append((f"{sql} WHERE key IN ({marks}) ORDER BY key", batch))
-        envelopes: dict[str, Envelope] = {}
+        rows: list[tuple] = []
         with self._lock:
             for query, parameters in queries:
-                rows = self._connection.execute(query, parameters).fetchall()
-                for key, env_min, env_max in rows:
-                    envelopes[key] = Envelope(
-                        mins=_decode_envelope(env_min),
-                        maxs=_decode_envelope(env_max),
-                    )
-                self.inc("repro_catalog_rows_scanned_total", len(rows))
-        return envelopes
+                rows.extend(self._connection.execute(query, parameters).fetchall())
+        return rows
 
     def candidate_pairs(
         self, epsilon: int, *, keys: Sequence[str] | None = None

@@ -133,9 +133,8 @@ class MinMaxEncoder:
 
     def part_sums(self, vectors: np.ndarray) -> np.ndarray:
         """Per-part counter sums, shape ``(n, n_parts)``."""
-        slices = self.part_slices(vectors.shape[1])
-        columns = [vectors[:, sl].sum(axis=1) for sl in slices]
-        return np.stack(columns, axis=1).astype(np.int64)
+        starts = [part.start for part in self.part_slices(vectors.shape[1])]
+        return np.add.reduceat(vectors, starts, axis=1, dtype=np.int64)
 
     def encode_targets(self, vectors: np.ndarray) -> EncodedTargets:
         """Build the sorted ``Encd_B`` buffer for community ``B``."""
@@ -155,15 +154,8 @@ class MinMaxEncoder:
         zero (counters are non-negative), exactly as in Figure 1 where
         value ``0`` with ``eps = 1`` yields the interval ``[0, 1]``.
         """
-        slices = self.part_slices(vectors.shape[1])
-        lowered = np.maximum(vectors - self.epsilon, 0)
-        raised = vectors + self.epsilon
-        range_min = np.stack(
-            [lowered[:, sl].sum(axis=1) for sl in slices], axis=1
-        ).astype(np.int64)
-        range_max = np.stack(
-            [raised[:, sl].sum(axis=1) for sl in slices], axis=1
-        ).astype(np.int64)
+        range_min = self.part_sums(np.maximum(vectors - self.epsilon, 0))
+        range_max = self.part_sums(vectors + self.epsilon)
         encoded_min = range_min.sum(axis=1)
         encoded_max = range_max.sum(axis=1)
         order = np.lexsort(

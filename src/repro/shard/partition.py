@@ -305,13 +305,13 @@ def plan_partition(
         raise ConfigurationError(
             f"hot_fraction must be > 0, got {hot_fraction}"
         )
-    keys = catalog.keys()
-    if not keys:
+    metadata = {
+        key: (record.n_users, record.n_dims)
+        for key, record in catalog.records().items()
+    }
+    if not metadata:
         raise ConfigurationError("cannot partition an empty catalog")
-    metadata: dict[str, tuple[int, int]] = {}
-    for key in keys:
-        record = catalog.metadata(key)
-        metadata[key] = (record.n_users, record.n_dims)
+    keys = list(metadata)
     envelopes = {
         key: (tuple(envelope.mins.tolist()), tuple(envelope.maxs.tolist()))
         for key, envelope in catalog.envelopes().items()

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.algorithms import minmax
 from repro.algorithms.baseline import ApBaseline, ExBaseline
+from repro.algorithms.minmax import ApMinMax, ExMinMax
 from repro.core.events import EventTrace, EventType, TraceEvent
 from repro.core.types import Community
 
@@ -123,3 +130,60 @@ class TestBaselineEngineParity:
         assert python.events.as_dict() == vectorised.events.as_dict()
         assert vectorised.events.no_match == 20
         assert vectorised.events.match == 0
+
+
+@st.composite
+def minmax_couples(draw):
+    """A (B, A) couple plus epsilon and part count for a MinMax join.
+
+    ``spread`` couples draw small random counters; ``apart`` couples put
+    A far above B so no window opens; ``close`` couples keep every
+    counter within epsilon of every other, so every window opens.
+    """
+    n_b, n_a = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    d = draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(["spread", "apart", "close"]))
+    epsilon = draw(st.integers(0, 5))
+    high = draw(st.integers(1, 8)) if shape == "spread" else 3
+    b = np.array(
+        draw(st.lists(st.integers(0, high - 1), min_size=n_b * d, max_size=n_b * d))
+    ).reshape(n_b, d)
+    a = np.array(
+        draw(st.lists(st.integers(0, high - 1), min_size=n_a * d, max_size=n_a * d))
+    ).reshape(n_a, d)
+    if shape == "apart":
+        a = a + 100
+    elif shape == "close":
+        epsilon = max(epsilon, high - 1)
+    return b, a, epsilon, draw(st.integers(1, 4))
+
+
+class TestMinMaxEngineParity:
+    """The blocked numpy MinMax engines against the faithful loops.
+
+    Ap-MinMax must commit the same pairs in the same order, Ex-MinMax
+    must reach the same matching size, and both must count the same
+    MATCH and NO_MATCH events — also when a join spans many blocks,
+    so the greedy state and the counts carry across block boundaries.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(minmax_couples(), st.sampled_from([1, 7, minmax.BLOCK_CELLS]))
+    def test_engines_agree(self, couple, block_cells):
+        vectors_b, vectors_a, epsilon, n_parts = couple
+        community_b, community_a = Community("B", vectors_b), Community("A", vectors_a)
+        for algorithm_cls in (ApMinMax, ExMinMax):
+            python = algorithm_cls(epsilon, n_parts=n_parts, engine="python").join(
+                community_b, community_a, enforce_size_ratio=False
+            )
+            with mock.patch.object(minmax, "BLOCK_CELLS", block_cells):
+                vectorised = algorithm_cls(epsilon, n_parts=n_parts).join(
+                    community_b, community_a, enforce_size_ratio=False
+                )
+            if algorithm_cls is ApMinMax:
+                assert python.pair_tuples() == vectorised.pair_tuples()
+            else:
+                assert python.similarity == vectorised.similarity
+                assert python.n_matched == vectorised.n_matched
+            assert python.events.match == vectorised.events.match
+            assert python.events.no_match == vectorised.events.no_match

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,25 @@ class TestMinMaxPruningEffectiveness:
         b, a = Community("B", vectors_b), Community("A", vectors_a)
         result = ApMinMax(1, engine="python").join(b, a)
         assert result.events.no_overlap > 0
+
+
+class TestMinMaxMemoryBound:
+    @pytest.mark.parametrize("algorithm_cls", [ApMinMax, ExMinMax])
+    def test_all_window_no_match_join_streams(self, algorithm_cls):
+        # Every one of the 9M pairs passes the window and part tests and
+        # fails the full check (|100 - 0| > 99), so a kernel that kept
+        # all screened edges at once would need hundreds of MiB.
+        vectors_b = np.tile([100, 0], (3000, 1))
+        vectors_a = np.tile([0, 100], (3000, 1))
+        b, a = Community("B", vectors_b), Community("A", vectors_a)
+        algorithm = algorithm_cls(99, n_parts=1)
+        tracemalloc.start()
+        try:
+            result = algorithm.join(b, a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert result.events.no_match == 9_000_000
+        assert result.events.match == 0
+        assert result.pairs == []

@@ -98,6 +98,25 @@ class TestRegistry:
         with pytest.raises(ValidationError, match="registered"):
             catalog.metadata("ghost")
 
+    def test_records_match_per_key_metadata(self, catalog, monkeypatch):
+        for seed, key in enumerate(["d", "a", "c", "e", "b"]):
+            catalog.register(key, make_community(key.upper(), seed, n=10 + seed))
+        expected = {key: catalog.metadata(key) for key in catalog.keys()}
+        assert catalog.records() == expected
+        assert list(catalog.records()) == sorted(expected)
+        # Explicit keys are read IN-batched; a batch of 2 spans 3 queries.
+        monkeypatch.setattr("repro.catalog.store._KEY_BATCH", 2)
+        subset = catalog.records(["e", "a", "c", "a", "d"])
+        assert subset == {key: expected[key] for key in ["a", "c", "d", "e"]}
+        assert list(subset) == ["a", "c", "d", "e"]
+        assert catalog.records([]) == {}
+        assert catalog.io_stats()["repro_catalog_vector_loads_total"] == 0
+
+    def test_records_missing_key_raises(self, catalog):
+        catalog.register("a", make_community("A", 1))
+        with pytest.raises(ValidationError, match="'ghost'"):
+            catalog.records(["a", "ghost"])
+
     def test_remove(self, catalog):
         catalog.register("x", make_community("X", 5))
         catalog.remove("x")
