@@ -12,8 +12,9 @@
 # "catalog" and "shard" sections).
 #
 # It then runs perfbench's deterministic work-counter gate on the
-# dense and sparse fleets: two traced runs per workload must report
-# identical jobs, joins and MATCH/NO_MATCH event counts.  Counters are
+# dense, sparse and shard fleets: two traced runs per workload must
+# report identical jobs, joins and MATCH/NO_MATCH event counts, and on
+# the shard fleet identical RPC, dedup and merge counts.  Counters are
 # stable on shared runners where seconds are not.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,6 +57,6 @@ PYTHONPATH=src python -m pytest \
   benchmarks/bench_catalog.py benchmarks/bench_shard_scaling.py \
   -m bench -q -s "$@"
 
-for workload in dense-fleet sparse-fleet; do
+for workload in dense-fleet sparse-fleet shard-fleet; do
   python3 perfbench/check.py counts --workload "$workload" --seed 7 --seconds 3
 done

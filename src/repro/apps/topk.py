@@ -4,16 +4,25 @@ The paper's broadcast scenario (Section 1.2, ii.b) has the platform
 apply CSJ "to a variety of community pairs" and act on the results in
 priority order; Section 3 prescribes the economical execution: a fast
 approximate method screens all pairs, then the exact method refines
-only the survivors.  :func:`top_k_pairs` packages that pipeline over an
-arbitrary community collection.
+only the survivors.
 
-Both phases execute on the :class:`~repro.engine.BatchEngine`: the
-survivors of the envelope sweep and the refinement pool become batches of
-:class:`~repro.engine.PairJob` entries, which gives this operator the
-envelope pre-screen, the join-result cache and multi-process execution
-(``n_jobs``) for free.  ``top_k_pairs_reference`` preserves the
-pre-engine serial loop as a differential-testing oracle and as the
-baseline the engine benchmarks measure against.
+:func:`rank_pairs` is that pipeline, written once: screen the live
+candidate pairs, merge their scores with the lazy zero tail into the
+refinement pool, refine the pool's live entries and assemble the
+ranking.  Where the joins run is the caller's :data:`JoinExecutor`,
+and that is all the two rankings differ in:
+
+* :func:`top_k_pairs` ranks an in-memory list or a
+  :class:`~repro.catalog.PersistentCatalog` on a local
+  :class:`~repro.engine.BatchEngine` (through :func:`run_pairs`), which
+  gives it the envelope pre-screen, the join-result cache and
+  multi-process execution (``n_jobs``) for free;
+* :meth:`repro.shard.ShardCoordinator.top_k` ranks a shard fleet, each
+  pair joined on its owner shard through ``join_batch`` requests.
+
+``top_k_pairs_reference`` preserves the pre-engine serial loop as a
+differential-testing oracle and as the baseline the engine benchmarks
+measure against.
 """
 
 from __future__ import annotations
@@ -24,26 +33,46 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet as Set
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
-from ..algorithms import ALGORITHMS, get_algorithm
+from ..algorithms import get_algorithm
 from ..catalog import CatalogRecord, PersistentCatalog
 from ..core.errors import ConfigurationError, DimensionMismatchError
-from ..core.types import Community, CSJResult, EventCounts
+from ..core.types import Community, CSJResult
+from ..core.validation import size_ratio_ok
 from ..engine import (
     BatchEngine,
     CheckpointLog,
     FaultPolicy,
     JoinResultCache,
     PairJob,
+    PairOutcome,
     canonical_options,
 )
-from ..engine.batch import SCREEN_ENGINE
+from ..engine.batch import zero_result
 from ..engine.envelope import community_envelope, envelope_candidates, stack_envelopes
 from ..obs import JoinTelemetry, MetricsRegistry
 
-__all__ = ["PairScore", "top_k_pairs", "top_k_pairs_reference", "zero_tail"]
+__all__ = [
+    "JoinExecutor",
+    "PairScore",
+    "Ranking",
+    "rank_pairs",
+    "run_pairs",
+    "top_k_pairs",
+    "top_k_pairs_reference",
+    "validate_ranking",
+    "zero_tail",
+]
+
+Pair = tuple[str, str]
+
+#: Where a ranking's joins run.  ``execute(pairs, method, results)``
+#: joins every pair (in the given orientation) with ``method`` and
+#: returns ``({pair: similarity}, lost)`` — ``{pair: CSJResult}`` when
+#: ``results`` is true — where ``lost`` lists the pairs it could not
+#: evaluate.
+JoinExecutor = Callable[[list[Pair], str, bool], tuple[dict, list[Pair]]]
 
 
 @dataclass(frozen=True)
@@ -60,18 +89,39 @@ class PairScore:
         return f"<{self.name_b}, {self.name_a}>"
 
 
-def _ratio_ok(n_first: int, n_second: int) -> bool:
-    small, large = sorted((n_first, n_second))
-    return small * 2 >= large
+@dataclass(frozen=True)
+class Ranking:
+    """One :func:`rank_pairs` run: the top k and what it cost.
+
+    ``lost`` holds every pair left out of the ranking universe (given
+    up front or lost by the executor); ``executed`` counts the pairs
+    the screen evaluated, ``n_screened`` the ratio-eligible pairs of
+    the universe less the lost, ``pool`` the refinement-pool entries.
+    """
+
+    scores: list[PairScore]
+    lost: frozenset[Pair]
+    executed: int
+    n_screened: int
+    pool: int
 
 
-def _validate(communities: list[Community], k: int, screen_margin: float) -> None:
+# The benchmark counts size-ratio tests through this module attribute.
+_ratio_ok = size_ratio_ok
+
+
+def validate_ranking(k: int, screen_margin: float) -> None:
+    """Reject a ranking's ``k`` and ``screen_margin`` before any work."""
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     if not 0.0 < screen_margin <= 1.0:
         raise ConfigurationError(
             f"screen_margin must be within (0, 1], got {screen_margin}"
         )
+
+
+def _validate(communities: list[Community], k: int, screen_margin: float) -> None:
+    validate_ranking(k, screen_margin)
     names = [community.name for community in communities]
     if len(set(names)) != len(names):
         raise ConfigurationError("community names must be unique for ranking")
@@ -117,24 +167,94 @@ def zero_tail(
                 yield (0.0, pair[0], pair[1])
 
 
-def _refinement_pool(
-    scored: Iterable[tuple[float, str, str]],
+def rank_pairs(
     names: Sequence[str],
     sizes: Sequence[int],
+    live: list[Pair],
+    execute: JoinExecutor,
+    *,
+    epsilon: int,
     k: int,
+    screen_method: str,
+    refine_method: str,
     screen_margin: float,
-    lost: Set[tuple[str, str]] = frozenset(),
-) -> list[tuple[float, str, str]]:
-    """The top screen entries: scored survivors merged with the zero tail.
+    lost: Iterable[Pair] = (),
+) -> Ranking:
+    """The two-phase top-k over one ranking universe.
 
-    ``lost`` pairs (a degraded shard fleet's unevaluable pairs) are
-    neither scored nor zero-ranked; they leave the ranking universe.
+    ``names`` and ``sizes`` are the universe; ``live`` holds the
+    ratio-eligible pairs the candidate screen kept, each in the
+    orientation it is joined in, and ``lost`` the pairs known up front
+    to be unevaluable.  ``execute`` screens ``live``; the best screen
+    entries, merged with the lazy zero tail of every other
+    ratio-eligible pair, form the refinement pool of
+    ``ceil(k / screen_margin)`` entries.  The pool's screened pairs are
+    refined, its zero entries come from
+    :func:`~repro.engine.batch.zero_result`, and the top ``k`` are
+    returned sorted by descending similarity (name tie-break).  Pairs
+    the executor loses are left out, never scored zero.  Callers check
+    ``k`` and ``screen_margin`` with :func:`validate_ranking` first.
     """
-    ranked = sorted(scored, key=_rank_key)
-    live = {(first, second) for _, first, second in ranked}
-    merged = heapq.merge(ranked, zero_tail(names, sizes, live | lost), key=_rank_key)
-    size = _pool_size(_joinable_count(sizes) - len(lost), k, screen_margin)
-    return list(itertools.islice(merged, size))
+    lost = set(lost)
+    screened, screen_lost = execute(live, screen_method, False)
+    lost.update(screen_lost)
+    n_screened = _joinable_count(sizes) - len(lost)
+    # The refinement pool: ranked screen entries merged with the zero
+    # tail; lost pairs are neither scored nor zero-ranked.
+    ranked = sorted(
+        ((similarity, first, second) for (first, second), similarity in screened.items()),
+        key=_rank_key,
+    )
+    merged = heapq.merge(
+        ranked, zero_tail(names, sizes, screened.keys() | lost), key=_rank_key
+    )
+    pool = list(itertools.islice(merged, _pool_size(n_screened, k, screen_margin)))
+    refined, refine_lost = execute(
+        [(first, second) for _, first, second in pool if (first, second) in screened],
+        refine_method,
+        True,
+    )
+    lost.update(refine_lost)
+    size_of = dict(zip(names, sizes))
+    scores: list[PairScore] = []
+    for _, first, second in pool:
+        result = refined.get((first, second))
+        if result is None:
+            if (first, second) in lost:
+                continue  # honestly absent, never fabricated
+            result = zero_result(
+                refine_method, epsilon, size_of[first], size_of[second]
+            )
+        name_b, name_a = (second, first) if result.swapped else (first, second)
+        scores.append(PairScore(name_b, name_a, result.similarity, result))
+    scores.sort(key=lambda score: (-score.similarity, score.name_b, score.name_a))
+    return Ranking(scores[:k], frozenset(lost), len(screened), n_screened, len(pool))
+
+
+def run_pairs(
+    engine: BatchEngine,
+    pairs: Sequence[Pair],
+    method: str,
+    epsilon: int,
+    options: Mapping[str, object],
+) -> list[PairOutcome]:
+    """Join named pairs on ``engine``, one :class:`~repro.engine.PairJob` each.
+
+    Names index the engine's roster by community name.  The one
+    job-building path of :func:`top_k_pairs` and of the serve
+    ``join_batch`` op, so a shard's similarity is the single host's by
+    construction.
+    """
+    index_of = {
+        community.name: index for index, community in enumerate(engine.communities)
+    }
+    job_options = canonical_options(options)
+    return engine.run(
+        [
+            PairJob(index_of[first], index_of[second], method, epsilon, job_options)
+            for first, second in pairs
+        ]
+    )
 
 
 def top_k_pairs(
@@ -193,9 +313,8 @@ def top_k_pairs(
     order gives it, and screen-score ties at the refinement-pool
     boundary are cut by ``(first, second)`` in that orientation.
     """
-    records: dict[str, CatalogRecord] | None = None
     if isinstance(communities, PersistentCatalog):
-        _validate([], k, screen_margin)
+        validate_ranking(k, screen_margin)
         roster, records, live = _catalog_universe(
             communities, keys, epsilon, envelope_screen
         )
@@ -215,14 +334,6 @@ def top_k_pairs(
             for i, j in _candidate_indices(communities, epsilon, envelope_screen)
             if _ratio_ok(sizes[i], sizes[j])
         ]
-    index_of = {community.name: index for index, community in enumerate(roster)}
-    job_options = canonical_options(options)
-
-    def jobs(pairs: list[tuple[str, str]], method: str) -> list[PairJob]:
-        return [
-            PairJob(index_of[first], index_of[second], method, epsilon, job_options)
-            for first, second in pairs
-        ]
 
     with BatchEngine(
         roster,
@@ -233,47 +344,28 @@ def top_k_pairs(
         fault_policy=fault_policy,
         checkpoint=checkpoint,
     ) as engine:
-        screen_outcomes = engine.run(jobs(live, screen_method))
-        pool = _refinement_pool(
-            (
-                (outcome.result.similarity, first, second)
-                for (first, second), outcome in zip(live, screen_outcomes)
-            ),
+
+        def execute(pairs: list[Pair], method: str, results: bool) -> tuple[dict, list[Pair]]:
+            outcomes = run_pairs(engine, pairs, method, epsilon, options)
+            return {
+                pair: outcome.result if results else outcome.similarity
+                for pair, outcome in zip(pairs, outcomes)
+            }, []
+
+        ranking = rank_pairs(
             names,
             sizes,
-            k,
-            screen_margin,
+            live,
+            execute,
+            epsilon=epsilon,
+            k=k,
+            screen_method=screen_method,
+            refine_method=refine_method,
+            screen_margin=screen_margin,
         )
-        # With every community in the roster (no catalog records), the
-        # pool's zero-tail entries go through the engine too and carry
-        # its screened labels, exactly as when every pair was submitted.
-        survivors = set(live)
-        refine_pairs = [
-            (first, second)
-            for _, first, second in pool
-            if records is None or (first, second) in survivors
-        ]
-        outcomes = engine.run(jobs(refine_pairs, refine_method))
-        refined = {
-            pair: outcome.result for pair, outcome in zip(refine_pairs, outcomes)
-        }
         if telemetry is not None:
             telemetry.extend(engine.telemetry)
-    scores: list[PairScore] = []
-    for _, first, second in pool:
-        result = refined.get((first, second))
-        if result is None:
-            assert records is not None
-            scores.append(
-                _zero_score(
-                    records[first], records[second], method=refine_method, epsilon=epsilon
-                )
-            )
-            continue
-        name_b, name_a = (second, first) if result.swapped else (first, second)
-        scores.append(PairScore(name_b, name_a, result.similarity, result))
-    scores.sort(key=lambda score: (-score.similarity, score.name_b, score.name_a))
-    return scores[:k]
+    return ranking.scores
 
 
 def _candidate_indices(
@@ -326,43 +418,6 @@ def _catalog_universe(
             community = dataclasses.replace(community, name=key)
         roster.append(community)
     return roster, records, live
-
-
-def _zero_score(
-    first: CatalogRecord,
-    second: CatalogRecord,
-    *,
-    method: str,
-    epsilon: int,
-) -> PairScore:
-    """A similarity-0 score synthesised from two metadata records.
-
-    Mirrors the engine's screened-result convention exactly (method
-    name, exactness, orientation, the ``envelope-screen`` engine label)
-    so rankings mixing computed and screened pairs sort identically to
-    the in-memory path.
-    """
-    algorithm_cls = ALGORITHMS[method.strip().lower()]
-    swapped = first.n_users > second.n_users
-    community_b, community_a = (second, first) if swapped else (first, second)
-    result = CSJResult(
-        method=algorithm_cls.name,
-        exact=algorithm_cls.exact,
-        size_b=community_b.n_users,
-        size_a=community_a.n_users,
-        epsilon=int(epsilon),
-        pairs=[],
-        events=EventCounts(),
-        elapsed_seconds=0.0,
-        engine=SCREEN_ENGINE,
-        swapped=swapped,
-    )
-    return PairScore(
-        name_b=community_b.key,
-        name_a=community_a.key,
-        similarity=0.0,
-        result=result,
-    )
 
 
 def top_k_pairs_reference(

@@ -460,25 +460,28 @@ class PersistentCatalog:
 
     # -- vector reads ----------------------------------------------------
     def get(self, key: str) -> Community:
-        """Load one community's vectors (the only vector-touching read)."""
-        record = self.metadata(key)
+        """Load one community's vectors (the only vector-touching read).
+
+        One query reads the metadata row and its vectors together.
+        """
         with self._lock:
             row = self._connection.execute(
-                "SELECT dtype, n, d, data FROM vectors WHERE key = ?",
+                "SELECT c.name, c.category, c.page_id, v.dtype, v.n, v.d, v.data "
+                "FROM communities AS c LEFT JOIN vectors AS v ON v.key = c.key "
+                "WHERE c.key = ?",
                 (key,),
             ).fetchone()
             if row is None:
+                raise ValidationError(f"no community registered under {key!r}")
+            name, category, page_id, dtype, n, d, data = row
+            if data is None:
                 raise ValidationError(f"no vectors stored under {key!r}")
             self.inc("repro_catalog_vector_loads_total")
-        dtype, n, d, data = row
         matrix = np.frombuffer(data, dtype=np.dtype(dtype)).reshape(
             int(n), int(d)
         )
         return Community(
-            name=record.name,
-            vectors=matrix,
-            category=record.category,
-            page_id=record.page_id,
+            name=name, vectors=matrix, category=category, page_id=int(page_id)
         )
 
     # -- the candidate-window query --------------------------------------

@@ -15,14 +15,13 @@ inputs to that convention.
 
 from __future__ import annotations
 
-import math
-
 from .errors import DimensionMismatchError, SizeRatioError, ValidationError
 from .types import Community
 
 __all__ = [
     "check_dimensions",
     "check_size_ratio",
+    "size_ratio_ok",
     "orient_pair",
     "validate_epsilon",
     "validate_pair",
@@ -35,10 +34,20 @@ def check_dimensions(community_b: Community, community_a: Community) -> None:
         raise DimensionMismatchError(community_b.n_dims, community_a.n_dims)
 
 
+def size_ratio_ok(n_first: int, n_second: int) -> bool:
+    """Whether two community sizes, in either order, may be joined.
+
+    The size-ratio rule ``ceil(|A|/2) <= |B|`` of the CSJ definition,
+    with ``B`` the smaller of the two.
+    """
+    small, large = sorted((n_first, n_second))
+    return small * 2 >= large
+
+
 def check_size_ratio(community_b: Community, community_a: Community) -> None:
     """Enforce ``ceil(|A|/2) <= |B| <= |A|`` from the CSJ definition."""
     size_b, size_a = community_b.n_users, community_a.n_users
-    if size_b > size_a or size_b < math.ceil(size_a / 2):
+    if size_b > size_a or not size_ratio_ok(size_b, size_a):
         raise SizeRatioError(size_b, size_a)
 
 

@@ -54,7 +54,7 @@ from .faults import (
 from .fingerprint import community_fingerprint
 from .shared import AttachedVectorStore, SharedVectorStore, StoreLayout
 
-__all__ = ["Disposition", "PairJob", "PairOutcome", "BatchEngine"]
+__all__ = ["Disposition", "PairJob", "PairOutcome", "BatchEngine", "zero_result"]
 
 #: Label recorded in ``CSJResult.engine`` for screened-out pairs.
 SCREEN_ENGINE = "envelope-screen"
@@ -65,6 +65,39 @@ QUARANTINE_ENGINE = "quarantined"
 #: Job lists at least this long screen via one vectorised per-job
 #: envelope gather instead of per-pair Python-level envelope tests.
 VECTOR_SCREEN_MIN_JOBS = 16
+
+
+def zero_result(
+    method: str,
+    epsilon: int,
+    n_first: int,
+    n_second: int,
+    *,
+    engine: str = SCREEN_ENGINE,
+) -> CSJResult:
+    """The similarity-0 result of a pair ``(first, second)`` no join ran on.
+
+    Oriented like a join of those sizes and labelled with ``method``'s
+    name and exactness: the one constructor of screened, quarantined
+    and zero-ranked results, so they all compare equal.
+    """
+    algorithm_cls = ALGORITHMS.get(method.strip().lower())
+    if algorithm_cls is None:
+        raise UnknownAlgorithmError(method, tuple(ALGORITHMS))
+    swapped = n_first > n_second
+    size_b, size_a = (n_second, n_first) if swapped else (n_first, n_second)
+    return CSJResult(
+        method=algorithm_cls.name,
+        exact=algorithm_cls.exact,
+        size_b=size_b,
+        size_a=size_a,
+        epsilon=int(epsilon),
+        pairs=[],
+        events=EventCounts(),
+        elapsed_seconds=0.0,
+        engine=engine,
+        swapped=swapped,
+    )
 
 
 class Disposition(enum.Enum):
@@ -365,31 +398,6 @@ class BatchEngine:
         )
         return key, swapped
 
-    def _synthetic_result(
-        self, job: PairJob, swapped: bool, engine_label: str
-    ) -> CSJResult:
-        """An empty-matching result for a pair that never ran a join."""
-        oriented = (job.second, job.first) if swapped else (job.first, job.second)
-        community_b = self.communities[oriented[0]]
-        community_a = self.communities[oriented[1]]
-        algorithm_cls = ALGORITHMS[job.method.strip().lower()]
-        return CSJResult(
-            method=algorithm_cls.name,
-            exact=algorithm_cls.exact,
-            size_b=community_b.n_users,
-            size_a=community_a.n_users,
-            epsilon=job.epsilon,
-            pairs=[],
-            events=EventCounts(),
-            elapsed_seconds=0.0,
-            engine=engine_label,
-            swapped=swapped,
-        )
-
-    def _screened_result(self, job: PairJob, swapped: bool) -> CSJResult:
-        """A similarity-0 result for a pair the envelopes ruled out."""
-        return self._synthetic_result(job, swapped, SCREEN_ENGINE)
-
     def _screen_verdicts(self, jobs: list[PairJob]) -> list[bool] | None:
         """Vectorised envelope verdicts for long job lists, in job order.
 
@@ -417,12 +425,21 @@ class BatchEngine:
         ).any(axis=1)
         return separated.tolist()
 
+    def _zero_result(self, job: PairJob, engine: str = SCREEN_ENGINE) -> CSJResult:
+        return zero_result(
+            job.method,
+            job.epsilon,
+            self.communities[job.first].n_users,
+            self.communities[job.second].n_users,
+            engine=engine,
+        )
+
     # -- execution -----------------------------------------------------
     def run(self, jobs: Iterable[PairJob]) -> list[PairOutcome]:
         """Resolve every job, preserving input order in the output."""
         jobs = list(jobs)
         outcomes: list[PairOutcome | None] = [None] * len(jobs)
-        pending: list[tuple[int, PairJob, JoinKey | None, bool]] = []
+        pending: list[tuple[int, PairJob, JoinKey | None]] = []
         with stage_timer(self.metrics, "batch.plan"):
             verdicts = self._screen_verdicts(jobs)
             for position, job in enumerate(jobs):
@@ -457,7 +474,7 @@ class BatchEngine:
                         outcomes[position] = PairOutcome(
                             job,
                             Disposition.SCREENED,
-                            self._screened_result(job, swapped),
+                            self._zero_result(job),
                         )
                         continue
                 key: JoinKey | None = None
@@ -473,7 +490,7 @@ class BatchEngine:
                             job, Disposition.CACHED, cached
                         )
                         continue
-                pending.append((position, job, key, swapped))
+                pending.append((position, job, key))
 
         if pending:
             with stage_timer(self.metrics, "batch.execute"):
@@ -483,7 +500,7 @@ class BatchEngine:
                     computed = [(r, None) for r in self._run_serial(pending)]
                 else:
                     computed = [(r, None) for r in self._run_parallel(pending)]
-            for (position, job, key, swapped), (result, error) in zip(
+            for (position, job, key), (result, error) in zip(
                 pending, computed
             ):
                 if error is not None:
@@ -491,7 +508,7 @@ class BatchEngine:
                     outcomes[position] = PairOutcome(
                         job,
                         Disposition.FAILED,
-                        self._synthetic_result(job, swapped, QUARANTINE_ENGINE),
+                        self._zero_result(job, QUARANTINE_ENGINE),
                         error=error,
                     )
                     continue
@@ -538,10 +555,10 @@ class BatchEngine:
         )
 
     def _run_serial(
-        self, pending: list[tuple[int, PairJob, JoinKey | None, bool]]
+        self, pending: list[tuple[int, PairJob, JoinKey | None]]
     ) -> list[CSJResult]:
         results = []
-        for _, job, _, _ in pending:
+        for _, job, _ in pending:
             algorithm = self._algorithm(job)
             algorithm.metrics = self.metrics
             results.append(
@@ -554,12 +571,12 @@ class BatchEngine:
         return results
 
     def _run_parallel(
-        self, pending: list[tuple[int, PairJob, JoinKey | None, bool]]
+        self, pending: list[tuple[int, PairJob, JoinKey | None]]
     ) -> list[CSJResult]:
         pool = self._ensure_pool()
         tasks = [
             (position, job.first, job.second, job.method, job.epsilon, job.options)
-            for position, job, _, _ in pending
+            for position, job, _ in pending
         ]
         workers = min(self.n_jobs, len(tasks))
         chunk_size = max(1, -(-len(tasks) // (workers * 4)))
@@ -579,10 +596,10 @@ class BatchEngine:
                 by_position[position] = CSJResult.from_dict(payload)
             if snapshot is not None:
                 self.metrics.merge(snapshot)  # type: ignore[union-attr]
-        return [by_position[position] for position, _, _, _ in pending]
+        return [by_position[position] for position, _, _ in pending]
 
     def _run_supervised(
-        self, pending: list[tuple[int, PairJob, JoinKey | None, bool]]
+        self, pending: list[tuple[int, PairJob, JoinKey | None]]
     ) -> list[tuple[CSJResult | None, str | None]]:
         """Execute ``pending`` under the job supervisor.
 
@@ -604,7 +621,7 @@ class BatchEngine:
         collect = self.metrics is not None
         tasks = [
             SupervisedTask(position=index, payload=job)
-            for index, (_, job, _, _) in enumerate(pending)
+            for index, (_, job, _) in enumerate(pending)
         ]
 
         def run_inline(task: SupervisedTask, attempt: int) -> CSJResult:

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Mapping
 from ..algorithms.baseline import ExBaseline
 from ..algorithms.registry import ALGORITHMS
 from ..apps import top_k_pairs
+from ..apps.topk import run_pairs
 from ..core.types import Community
 from ..engine import (
     BatchEngine,
@@ -43,7 +44,6 @@ from ..engine import (
     JoinResultCache,
     PairJob,
     PairOutcome,
-    canonical_options,
 )
 from ..obs import MetricsRegistry
 from .protocol import ProtocolError
@@ -412,23 +412,16 @@ def execute_candidates_work(work: CandidatesWork) -> tuple[dict, dict | None]:
 def execute_join_batch_work(work: JoinBatchWork) -> tuple[dict, dict | None]:
     """Run one batch of joins (executor thread).
 
-    Mirrors the single-host catalog ranking's engine call exactly —
-    one serial :class:`~repro.engine.BatchEngine` over the union
-    roster, canonical options, default size-ratio handling — so a
-    similarity computed here is bit-for-bit the one
-    :func:`~repro.apps.top_k_pairs` computes for the same couple.
-    Entries come back ranked by ``(-similarity, first, second)`` in
-    request orientation, ready for the coordinator's k-way merge.
+    The single-host ranking's engine call: one serial
+    :class:`~repro.engine.BatchEngine` over the union roster, jobs
+    built by :func:`~repro.apps.topk.run_pairs` exactly as
+    :func:`~repro.apps.top_k_pairs` builds them, so a similarity
+    computed here is bit-for-bit the one it computes for the same
+    couple.  Entries come back ranked by ``(-similarity, first,
+    second)`` in request orientation.
     """
     scratch = MetricsRegistry() if work.collect_metrics else None
-    roster_names = sorted(work.snapshots)
-    roster = [work.snapshots[name].community for name in roster_names]
-    index_of = {name: index for index, name in enumerate(roster_names)}
-    job_options = canonical_options(work.options)
-    jobs = [
-        PairJob(index_of[first], index_of[second], work.method, work.epsilon, job_options)
-        for first, second in work.pairs
-    ]
+    roster = [work.snapshots[name].community for name in sorted(work.snapshots)]
     with BatchEngine(
         roster,
         n_jobs=1,
@@ -437,7 +430,9 @@ def execute_join_batch_work(work: JoinBatchWork) -> tuple[dict, dict | None]:
         metrics=scratch,
         fault_policy=work.fault_policy,
     ) as engine:
-        outcomes = engine.run(jobs)
+        outcomes = run_pairs(
+            engine, work.pairs, work.method, work.epsilon, work.options
+        )
     entries: list[dict[str, object]] = []
     for (first, second), outcome in zip(work.pairs, outcomes):
         result = outcome.result

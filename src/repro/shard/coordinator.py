@@ -1,27 +1,22 @@
 """Distributed all-pairs top-k over a fleet of CSJ shard servers.
 
-The coordinator re-drives the single-host catalog ranking of
-:func:`repro.apps.top_k_pairs` with the expensive stages pushed onto
-shards:
+The coordinator runs the single-host ranking's pipeline,
+:func:`repro.apps.topk.rank_pairs`, over a different candidate source
+and join executor:
 
 1. **Candidate scan** — every shard answers ``candidates`` from its
    local indexed envelope screen; the union (deduplicated across
    replicated components) equals the union catalog's surviving set,
    because the partitioner co-locates every candidate pair at plan
    epsilon.
-2. **Screen** — each live pair has exactly one *owner* shard (the
-   plan's pair→owner map for split hot components, the lowest common
-   holder otherwise); owners evaluate their pairs in ranked
-   ``join_batch`` responses.
-3. **Merge** — the per-shard ranked streams plus a lazy zero-similarity
-   tail (ratio-eligible pairs the envelopes killed, enumerated in key
-   order, never materialised in full) meet in a bounded
-   :func:`heapq.merge` that stops at the refinement-pool size.
-4. **Refine** — pool survivors go back to their owners with the exact
-   method; full :class:`~repro.core.types.CSJResult` payloads come
-   back over the wire (JSON floats round-trip exactly), so the final
-   ranking — pairs, similarities, orientation, tie-breaks — is
-   byte-identical to the single-host ranking on the union catalog.
+2. **Screen, bounded merge, refine** — the shared pipeline, with every
+   join on the pair's *owner* shard (the plan's pair→owner map for
+   split hot components, the lowest live common holder otherwise) in
+   ``join_batch`` requests.  Refined pairs come back as full
+   :class:`~repro.core.types.CSJResult` payloads (JSON floats
+   round-trip exactly), so the final ranking — pairs, similarities,
+   orientation, tie-breaks — is byte-identical to the single-host
+   ranking on the union catalog.
 
 Failure handling is honest rather than heroic: per-shard deadlines and
 bounded reconnect-retries ride on the serve layer's admission and
@@ -35,6 +30,7 @@ writes as cells complete.
 
 from __future__ import annotations
 
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -42,17 +38,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..analysis.sweeps import SweepPoint
-from ..apps.topk import (
-    PairScore,
-    _joinable_count,
-    _ratio_ok,
-    _refinement_pool,
-    _validate,
-    _zero_score,
-)
-from ..catalog import CatalogRecord, PersistentCatalog
+from ..apps.topk import PairScore, rank_pairs, validate_ranking
+from ..catalog import PersistentCatalog
 from ..core.errors import ConfigurationError, ReproError
 from ..core.types import CSJResult
+from ..core.validation import size_ratio_ok
+from ..engine.batch import zero_result
 from ..engine.envelope import envelope_pairs, envelopes_separated
 from ..obs import MetricsRegistry
 
@@ -76,6 +67,9 @@ __all__ = [
     "ShardCoordinator",
     "ShardFleet",
 ]
+
+#: Pairs per ``join_batch`` request; a shard's larger share is chunked.
+JOIN_BATCH_PAIRS = 4096
 
 
 class ShardError(ReproError):
@@ -152,23 +146,17 @@ class ShardCoordinator:
         deadline_ms: float | None = None,
         retries: int = 1,
         timeout: float | None = 30.0,
-        batch_size: int = 4096,
     ) -> None:
         if len(addresses) != plan.n_shards:
             raise ConfigurationError(
                 f"plan has {plan.n_shards} shards but {len(addresses)} "
                 "addresses were given"
             )
-        if batch_size < 1:
-            raise ConfigurationError(
-                f"batch_size must be >= 1, got {batch_size}"
-            )
         self.plan = plan
         # A private registry when none is shared: .inc is then a no-op
         # nobody reads, and every call site stays unconditional.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.deadline_ms = deadline_ms
-        self.batch_size = int(batch_size)
         self._clients = [
             ReconnectingClient(host, port, timeout=timeout, retries=retries)
             for host, port in addresses
@@ -225,100 +213,75 @@ class ShardCoordinator:
         live = common - missing
         return min(live) if live else None
 
-    def _record(self, key: str) -> CatalogRecord:
-        n_users, n_dims = self.plan.metadata[key]
-        return CatalogRecord(
-            key=key,
-            name=key,
-            category="",
-            page_id=0,
-            n_users=n_users,
-            n_dims=n_dims,
-            fingerprint="",
-        )
-
     # -- join batches with re-routing ----------------------------------
     def _run_join_batches(
         self,
-        assignments: dict[int, list[tuple[str, str]]],
+        pairs: list[tuple[str, str]],
+        method: str,
+        results: bool,
         *,
         epsilon: int,
-        method: str,
         options: Mapping[str, object],
-        include_results: bool,
         missing: set[int],
-    ) -> tuple[list[list[dict]], list[tuple[str, str]]]:
-        """Run owner-grouped batches, re-routing around shard deaths.
+    ) -> tuple[dict, list[tuple[str, str]]]:
+        """The fleet's :data:`~repro.apps.topk.JoinExecutor`.
 
-        Returns the ranked response streams (one per request chunk)
-        plus the pairs that became unroutable.  ``missing`` is updated
-        in place with shards that died mid-phase.
+        Joins each pair on its live owner through ``join_batch``,
+        re-routing a dead shard's pairs to another holder; ``missing``
+        is updated in place with shards that die mid-phase.  Returns
+        ``{pair: similarity}`` (``{pair: CSJResult}`` with ``results``)
+        plus the pairs that became unroutable.
         """
-        streams: list[list[dict]] = []
+        args: dict[str, object] = {"epsilon": epsilon, "method": method}
+        if options:
+            args["options"] = dict(options)
+        if results:
+            args["include_results"] = True
+        evaluated: dict = {}
         lost: list[tuple[str, str]] = []
-        pending = {
-            shard: list(pairs) for shard, pairs in assignments.items() if pairs
-        }
-        while pending:
-            futures = {
-                shard: self._executor.submit(
-                    self._shard_batches,
-                    shard,
-                    pairs,
-                    epsilon=epsilon,
-                    method=method,
-                    options=options,
-                    include_results=include_results,
-                )
-                for shard, pairs in pending.items()
-            }
-            failed_pairs: list[tuple[str, str]] = []
-            newly_failed: set[int] = set()
-            for shard, future in futures.items():
-                shard_streams, unprocessed = future.result()
-                streams.extend(shard_streams)
-                if unprocessed:
-                    newly_failed.add(shard)
-                    failed_pairs.extend(unprocessed)
-            missing.update(newly_failed)
-            pending = {}
-            for pair in failed_pairs:
+        while pairs:
+            pending: dict[int, list[tuple[str, str]]] = {}
+            for pair in pairs:
                 owner = self._live_owner(pair[0], pair[1], missing)
                 if owner is None:
                     lost.append(pair)
                 else:
                     pending.setdefault(owner, []).append(pair)
-        return streams, lost
+            futures = {
+                shard: self._executor.submit(
+                    self._shard_batches, shard, shard_pairs, args
+                )
+                for shard, shard_pairs in pending.items()
+            }
+            pairs = []
+            for shard, future in futures.items():
+                entries, unprocessed = future.result()
+                for entry in entries:
+                    evaluated[(entry["first"], entry["second"])] = (
+                        CSJResult.from_dict(entry["result"])
+                        if results
+                        else entry["similarity"]
+                    )
+                if unprocessed:
+                    missing.add(shard)
+                    pairs.extend(unprocessed)
+        return evaluated, lost
 
     def _shard_batches(
-        self,
-        shard: int,
-        pairs: list[tuple[str, str]],
-        *,
-        epsilon: int,
-        method: str,
-        options: Mapping[str, object],
-        include_results: bool,
-    ) -> tuple[list[list[dict]], list[tuple[str, str]]]:
+        self, shard: int, pairs: list[tuple[str, str]], args: dict[str, object]
+    ) -> tuple[list[dict], list[tuple[str, str]]]:
         """All of one shard's chunks, stopping at the first failure."""
-        streams: list[list[dict]] = []
-        for start in range(0, len(pairs), self.batch_size):
-            chunk = pairs[start : start + self.batch_size]
-            args: dict[str, object] = {
-                "pairs": [[first, second] for first, second in chunk],
-                "epsilon": epsilon,
-                "method": method,
-            }
-            if options:
-                args["options"] = dict(options)
-            if include_results:
-                args["include_results"] = True
+        entries: list[dict] = []
+        for start in range(0, len(pairs), JOIN_BATCH_PAIRS):
+            chunk = pairs[start : start + JOIN_BATCH_PAIRS]
             try:
-                response = self._request(shard, "join_batch", args)
+                response = self._request(
+                    shard, "join_batch", {**args, "pairs": [list(p) for p in chunk]}
+                )
             except (ServeError, OSError):
-                return streams, pairs[start:]
-            streams.append(response["pairs"])
-        return streams, []
+                return entries, pairs[start:]
+            entries.extend(response["pairs"])
+        return entries, []
 
     # -- the distributed ranking ---------------------------------------
     def top_k(
@@ -340,7 +303,7 @@ class ShardCoordinator:
         shards down and ``allow_partial=True``, the degraded contract
         of :class:`ShardTopK` applies instead.
         """
-        _validate([], k, screen_margin)
+        validate_ranking(k, screen_margin)
         epsilon = int(epsilon)
         if epsilon < 0:
             raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
@@ -360,8 +323,7 @@ class ShardCoordinator:
             )
         )
         selected = sorted(set(self.plan.metadata) - set(dropped))
-        universe = set(selected)
-        records = {key: self._record(key) for key in selected}
+        size_of = {key: self.plan.size_of(key) for key in selected}
 
         live: set[tuple[str, str]] = set()
         duplicates = 0
@@ -370,7 +332,7 @@ class ShardCoordinator:
                 pair = (first, second)
                 if pair in live:
                     duplicates += 1
-                elif first in universe and second in universe:
+                elif first in size_of and second in size_of:
                     live.add(pair)
         self.metrics.inc("repro_shard_pairs_deduped_total", duplicates)
 
@@ -381,9 +343,7 @@ class ShardCoordinator:
         if missing or epsilon > self.plan.epsilon:
             envelopes = {key: self.plan.envelope_of(key) for key in selected}
             for pair in set(envelope_pairs(envelopes, epsilon)) - live:
-                if not _ratio_ok(
-                    records[pair[0]].n_users, records[pair[1]].n_users
-                ):
+                if not size_ratio_ok(size_of[pair[0]], size_of[pair[1]]):
                     continue
                 if self._live_owner(pair[0], pair[1], missing) is None:
                     if not missing:
@@ -395,120 +355,39 @@ class ShardCoordinator:
                         )
                     lost.add(pair)
 
-        live_pairs = sorted(
-            pair
-            for pair in live
-            if _ratio_ok(records[pair[0]].n_users, records[pair[1]].n_users)
-        )
-        assignments: dict[int, list[tuple[str, str]]] = {}
-        for pair in live_pairs:
-            owner = self._live_owner(pair[0], pair[1], missing)
-            if owner is None:
-                lost.add(pair)
-            else:
-                assignments.setdefault(owner, []).append(pair)
-        executable = [
-            pair for pairs in assignments.values() for pair in pairs
-        ]
-
-        # Phase 2: the approximate screen, ranked shard-side.
-        screen_streams, screen_lost = self._run_join_batches(
-            assignments,
-            epsilon=epsilon,
-            method=screen_method,
-            options=options,
-            include_results=False,
-            missing=missing,
-        )
-        lost.update(screen_lost)
-        live_exec = set(executable) - lost
-
-        # Phase 3: bounded k-way merge against the lazy zero tail.
-        sizes = [records[key].n_users for key in selected]
-        n_screened = _joinable_count(sizes) - len(lost)
-        pool = _refinement_pool(
-            (
-                (entry["similarity"], entry["first"], entry["second"])
-                for stream in screen_streams
-                for entry in stream
-                if (entry["first"], entry["second"]) not in lost
-            ),
+        # Phase 2: screen, bounded merge and refine — the one ranking
+        # pipeline, every join on its owner shard.
+        ranking = rank_pairs(
             selected,
-            sizes,
-            k,
-            screen_margin,
-            lost,
-        )
-        self.metrics.inc("repro_shard_pairs_merged_total", len(pool))
-
-        # Phase 4: exact refinement of the pool's live entries.
-        refine_pairs = [
-            (first, second)
-            for _, first, second in pool
-            if (first, second) in live_exec
-        ]
-        refine_assignments: dict[int, list[tuple[str, str]]] = {}
-        for pair in refine_pairs:
-            owner = self._live_owner(pair[0], pair[1], missing)
-            if owner is None:
-                lost.add(pair)
-            else:
-                refine_assignments.setdefault(owner, []).append(pair)
-        refine_streams, refine_lost = self._run_join_batches(
-            refine_assignments,
+            [size_of[key] for key in selected],
+            sorted(
+                pair
+                for pair in live
+                if size_ratio_ok(size_of[pair[0]], size_of[pair[1]])
+            ),
+            functools.partial(
+                self._run_join_batches,
+                epsilon=epsilon,
+                options=options,
+                missing=missing,
+            ),
             epsilon=epsilon,
-            method=refine_method,
-            options=options,
-            include_results=True,
-            missing=missing,
+            k=k,
+            screen_method=screen_method,
+            refine_method=refine_method,
+            screen_margin=screen_margin,
+            lost=lost,
         )
-        lost.update(refine_lost)
-        refined_by_pair = {
-            (entry["first"], entry["second"]): entry
-            for stream in refine_streams
-            for entry in stream
-        }
-
-        refined: list[PairScore] = []
-        for _, first, second in pool:
-            pair = (first, second)
-            entry = refined_by_pair.get(pair)
-            if entry is not None:
-                result = CSJResult.from_dict(entry["result"])
-                name_b, name_a = (
-                    (second, first) if result.swapped else (first, second)
-                )
-                refined.append(
-                    PairScore(
-                        name_b=name_b,
-                        name_a=name_a,
-                        similarity=result.similarity,
-                        result=result,
-                    )
-                )
-            elif pair in lost:
-                continue  # honestly absent, never fabricated
-            else:
-                refined.append(
-                    _zero_score(
-                        records[first],
-                        records[second],
-                        method=refine_method,
-                        epsilon=epsilon,
-                    )
-                )
-        refined.sort(
-            key=lambda score: (-score.similarity, score.name_b, score.name_a)
-        )
+        self.metrics.inc("repro_shard_pairs_merged_total", ranking.pool)
 
         missing_tuple = tuple(sorted(missing))
-        lost_tuple = tuple(sorted(lost))
+        lost_tuple = tuple(sorted(ranking.lost))
         if missing_tuple or lost_tuple or dropped:
             self.metrics.inc("repro_shard_degraded_total")
             if not allow_partial:
                 raise ShardUnavailableError(missing_tuple)
         return ShardTopK(
-            scores=tuple(refined[:k]),
+            scores=tuple(ranking.scores),
             k=k,
             epsilon=epsilon,
             missing=missing_tuple,
@@ -518,9 +397,9 @@ class ShardCoordinator:
                 "communities": len(selected),
                 "candidate_pairs": len(live),
                 "duplicates": duplicates,
-                "executed_pairs": len(live_exec),
-                "n_screened": n_screened,
-                "pool": len(pool),
+                "executed_pairs": ranking.executed,
+                "n_screened": ranking.n_screened,
+                "pool": ranking.pool,
             },
         )
 
@@ -552,16 +431,13 @@ class ShardCoordinator:
                 self.plan.envelope_of(second),
                 epsilon,
             ):
-                score = _zero_score(
-                    self._record(first),
-                    self._record(second),
-                    method=method,
-                    epsilon=epsilon,
+                result = zero_result(
+                    method,
+                    epsilon,
+                    self.plan.size_of(first),
+                    self.plan.size_of(second),
                 )
-                return {
-                    "disposition": "screened",
-                    "result": score.result.to_dict(),
-                }
+                return {"disposition": "screened", "result": result.to_dict()}
             raise ShardError(
                 f"pair ({first!r}, {second!r}) is not co-located on any "
                 f"shard (plan epsilon {self.plan.epsilon}, query epsilon "

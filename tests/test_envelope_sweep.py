@@ -333,19 +333,27 @@ class TestZeroTailDifferential:
 
     def test_screened_out_pairs_never_reach_the_screen_phase(self):
         fleet = tie_fleet(0)
-        metrics = MetricsRegistry()
-        top_k_pairs(fleet, epsilon=self.EPSILON, k=3, metrics=metrics)
         envelopes = [community_envelope(c) for c in fleet]
-        survivors = sum(
-            1
-            for i, j in itertools.combinations(range(len(fleet)), 2)
-            if _ratio_ok(fleet[i].n_users, fleet[j].n_users)
-            and not envelopes_separated(envelopes[i], envelopes[j], self.EPSILON)
-        )
-        pool = max(3, round(3 / 0.8))
-        assert metrics.counter("repro_engine_envelope_tests_total") == (
-            survivors + pool
-        )
+        screener = get_algorithm("ap-minmax", self.EPSILON)
+        entries = []  # (-screen score, first, second, live)
+        for i, j in itertools.combinations(range(len(fleet)), 2):
+            if not _ratio_ok(fleet[i].n_users, fleet[j].n_users):
+                continue
+            live = not envelopes_separated(envelopes[i], envelopes[j], self.EPSILON)
+            score = screener.join(fleet[i], fleet[j]).similarity if live else 0.0
+            entries.append((-score, fleet[i].name, fleet[j].name, live))
+        survivors = sum(entry[3] for entry in entries)
+        # At k=3 the pool holds live pairs only; at k=15 it reaches into
+        # the zero tail, whose entries are synthesised without an engine
+        # job, so only the pool's live entries reach the refine phase.
+        for k in (3, 15):
+            metrics = MetricsRegistry()
+            top_k_pairs(fleet, epsilon=self.EPSILON, k=k, metrics=metrics)
+            pool = sorted(entries)[: max(k, round(k / 0.8))]
+            pool_live = sum(entry[3] for entry in pool)
+            assert metrics.counter("repro_engine_envelope_tests_total") == (
+                survivors + pool_live
+            )
 
 
 class TestEngineGather:

@@ -98,6 +98,21 @@ class TestRegistry:
         with pytest.raises(ValidationError, match="registered"):
             catalog.metadata("ghost")
 
+    def test_get_reads_one_row_and_reports_missing_vectors(self, catalog):
+        catalog.register("x", make_community("X", 5))
+        statements: list[str] = []
+        catalog._connection.set_trace_callback(statements.append)
+        try:
+            loaded = catalog.get("x")
+        finally:
+            catalog._connection.set_trace_callback(None)
+        assert (loaded.name, loaded.category) == ("X", "Sport")
+        assert len(statements) == 1  # metadata and vectors in one query
+        catalog._connection.execute("DELETE FROM vectors WHERE key = 'x'")
+        with pytest.raises(ValidationError, match="no vectors stored under 'x'"):
+            catalog.get("x")
+        assert catalog.io_stats()["repro_catalog_vector_loads_total"] == 1
+
     def test_records_match_per_key_metadata(self, catalog, monkeypatch):
         for seed, key in enumerate(["d", "a", "c", "e", "b"]):
             catalog.register(key, make_community(key.upper(), seed, n=10 + seed))

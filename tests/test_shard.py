@@ -16,6 +16,7 @@ import socket
 import numpy as np
 import pytest
 
+from repro.algorithms import get_algorithm
 from repro.analysis.sweeps import catalog_epsilon_sweep
 from repro.apps import top_k_pairs
 from repro.catalog import PersistentCatalog
@@ -282,6 +283,90 @@ class TestShardLoss:
             with fleet.coordinator(retries=0, timeout=5.0) as coord:
                 with pytest.raises(ShardUnavailableError, match=r"\[3\]"):
                     coord.top_k(epsilon=EPSILON, k=5)
+
+    @staticmethod
+    def _kill_on_first_join_batch(fleet, coord, victim, *, refine):
+        """Stop ``victim`` just before its first screen (or refine) batch."""
+        request = coord._request
+        killed = []
+
+        def wrapped(shard, op, args):
+            if (
+                shard == victim
+                and op == "join_batch"
+                and bool(args.get("include_results")) == refine
+                and not killed
+            ):
+                killed.append(shard)
+                fleet.stop_shard(shard)
+            return request(shard, op, args)
+
+        coord._request = wrapped
+        return killed
+
+    @staticmethod
+    def _assert_honest_mid_phase_ranking(result, victim, union_db):
+        assert result.degraded
+        assert result.missing == (victim,)
+        lost = {frozenset(pair) for pair in result.lost_pairs}
+        scored = [frozenset((s.name_b, s.name_a)) for s in result.scores]
+        assert not lost & set(scored)
+        assert len(set(scored)) == len(scored)
+        keys = [(-s.similarity, s.name_b, s.name_a) for s in result.scores]
+        assert keys == sorted(keys)
+        refiner = get_algorithm("ex-minmax", EPSILON)
+        with PersistentCatalog(union_db) as catalog:
+            for score in result.scores:
+                direct = refiner.join(
+                    catalog.get(score.name_b), catalog.get(score.name_a)
+                )
+                assert score.similarity == direct.similarity
+                assert score.result.n_matched == direct.n_matched
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["screen", "refine"])
+    def test_shard_lost_mid_phase(self, tmp_path, refine):
+        self._partitioned(tmp_path)
+        with PersistentCatalog(tmp_path / "u.db") as catalog:
+            top = top_k_pairs(catalog, epsilon=EPSILON, k=20)[0]
+        with ShardFleet(tmp_path / "p") as fleet:
+            victim = fleet.plan.owner_of(top.name_b, top.name_a)
+            with fleet.coordinator(retries=0, timeout=5.0) as coord:
+                killed = self._kill_on_first_join_batch(
+                    fleet, coord, victim, refine=refine
+                )
+                result = coord.top_k(epsilon=EPSILON, k=20, allow_partial=True)
+        assert killed == [victim]
+        assert result.lost_pairs  # the victim's exclusive pairs
+        self._assert_honest_mid_phase_ranking(result, victim, tmp_path / "u.db")
+
+    def test_skewed_fleet_reroutes_mid_screen(self, tmp_path):
+        with make_catalog(tmp_path / "u.db", skewed_fleet()) as catalog:
+            partition_catalog(catalog, tmp_path / "p", 4, epsilon=EPSILON)
+        with ShardFleet(tmp_path / "p") as fleet:
+            plan = fleet.plan
+            victim = 2
+            rerouted = {
+                frozenset(pair)
+                for pair, owner in plan.pair_owners.items()
+                if owner == victim
+                and set(plan.shards_of(pair[0]))
+                & set(plan.shards_of(pair[1]))
+                - {victim}
+            }
+            assert rerouted  # the victim owns hot pairs another shard holds
+            with fleet.coordinator(retries=0, timeout=5.0) as coord:
+                killed = self._kill_on_first_join_batch(
+                    fleet, coord, victim, refine=False
+                )
+                # k above the pair count: every evaluable pair is ranked.
+                result = coord.top_k(
+                    epsilon=EPSILON, k=1000, allow_partial=True
+                )
+        assert killed == [victim]
+        lost = {frozenset(pair) for pair in result.lost_pairs}
+        assert not rerouted & lost
+        assert rerouted & {frozenset((s.name_b, s.name_a)) for s in result.scores}
+        self._assert_honest_mid_phase_ranking(result, victim, tmp_path / "u.db")
 
     def test_all_shards_down_raises_even_partial(self, tmp_path):
         self._partitioned(tmp_path)
